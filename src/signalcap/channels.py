@@ -19,10 +19,10 @@ EPS_CAP = 1e-12   # below this |p - q| the channel is treated as useless
 
 
 class NoConvergence(Exception):
-    def __init__(self, iters, best=None):
+    def __init__(self, iters, best=None, message=None):
         self.iters = int(iters)
         self.best = best
-        super().__init__(f"no convergence within {self.iters} iterations")
+        super().__init__(message or f"no convergence within {self.iters} iterations")
 
 
 def binary_entropy(p: float) -> float:

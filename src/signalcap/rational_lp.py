@@ -12,10 +12,6 @@ from fractions import Fraction
 from math import gcd
 
 
-def _as_fraction_rows(rows):
-    return [([Fraction(c) for c in coeffs], Fraction(rhs)) for coeffs, rhs in rows]
-
-
 def _int_scale_row(coeffs, rhs):
     """Multiply a rational row by the lcm of denominators; returns int tuple."""
     dens = [Fraction(c).denominator for c in coeffs] + [Fraction(rhs).denominator]

@@ -98,7 +98,8 @@ def minimax_capacity(poly: geometry.HPolytope, pairs, tol: float = 1e-4,
                       A_eq=eq_A, b_eq=b_eq if eq_A is not None else None,
                       bounds=bounds, method="highs")
         if not res.success:
-            raise RuntimeError(f"master LP failed: {res.message}")
+            raise NoConvergence(it, best=(best_val, best_x),
+                                message=f"master LP failed: {res.message}")
         x = res.x[:dim].copy()
         lower = max(lower, float(res.fun))
         if symmetrize_idx is not None:

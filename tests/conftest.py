@@ -1,7 +1,10 @@
 import json
 import pathlib
+import time
 
 import pytest
+
+from signalcap import geometry
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -12,6 +15,15 @@ def golden_c_delta():
     with open(GOLDEN_DIR / "c_delta_m2.json") as fh:
         doc = json.load(fh)
     return {float(k): v for k, v in doc["values"].items()}
+
+
+@pytest.fixture(scope="session")
+def characterization():
+    """geometry.verify_characterization() run once per session: (report,
+    elapsed seconds of that run)."""
+    t0 = time.perf_counter()
+    report = geometry.verify_characterization()
+    return report, time.perf_counter() - t0
 
 
 def pytest_configure(config):

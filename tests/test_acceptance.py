@@ -16,8 +16,14 @@ import time
 import numpy as np
 import pytest
 
-from signalcap import boxes, channels, geometry, monogamy, strength
-from signalcap.cli import main
+from signalcap import boxes, channels, monogamy, strength
+from signalcap.cli import (
+    main,
+    sample_capacity_oracle,
+    sample_convexity,
+    sample_monogamy,
+    sample_triple_inequalities,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +99,8 @@ def test_criterion_2_curve_m2_step01(golden_c_delta, tmp_path, criterion_report)
 # ---------------------------------------------------------------------------
 # criterion 3: verify appendix-a
 
-def test_criterion_3_appendix_a(criterion_report):
-    t0 = time.perf_counter()
-    rep = geometry.verify_characterization()
-    elapsed = time.perf_counter() - t0
+def test_criterion_3_appendix_a(characterization, criterion_report):
+    rep, elapsed = characterization
     ok = rep.q_vertices_in_slices and rep.all_preimages_found and elapsed < 300.0
     criterion_report(3, ok, f"{rep.vertex_count} vertices ({rep.slice_counts}), "
           f"runtime={elapsed:.1f}s")
@@ -150,14 +154,7 @@ def test_criterion_5_minimal_set(criterion_report):
 # criterion 6: property suites
 
 def test_criterion_6a_monogamy_of_random_nonsignaling_boxes(criterion_report):
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    worst_marginal = 0.0
-    for _ in range(10_000):
-        box = boxes.random_nonsignaling(2, rng.integers(0, 2**63))
-        worst = max(worst, monogamy.monogamy_lhs(box).lhs)
-        worst_marginal = max(worst_marginal,
-                             boxes.check_no_signaling(box, 1e-12).worst_violation)
+    worst, worst_marginal = sample_monogamy(np.random.default_rng(42), 10_000)
     ok = worst <= 4.0 + 1e-9 and worst_marginal <= 1e-12
     criterion_report("6a", ok, f"1e4 nonsignaling boxes, max lhs = {worst:.9f}, "
                      f"max marginal spread = {worst_marginal:.1e}")
@@ -166,43 +163,21 @@ def test_criterion_6a_monogamy_of_random_nonsignaling_boxes(criterion_report):
 
 
 def test_criterion_6b_triple_inequalities_on_random_distributions(criterion_report):
-    rng = np.random.default_rng(43)
-    violations = 0
-    for _ in range(10_000):
-        dist = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
-        for signs in monogamy.SIGN_PATTERNS:
-            if not monogamy.triple_inequality_holds(dist, signs):
-                violations += 1
+    violations = sample_triple_inequalities(np.random.default_rng(43), 10_000)
     criterion_report("6b", violations == 0, f"1e4 distributions x 4 patterns, "
           f"{violations} violations")
     assert violations == 0
 
 
 def test_criterion_6c_capacity_oracle_and_symmetries(criterion_report):
-    rng = np.random.default_rng(44)
-    worst = 0.0
-    for _ in range(1_000):
-        p, q = rng.uniform(0, 1, 2)
-        ch = channels.BinaryChannel(p, q)
-        c = channels.capacity(ch)
-        worst = max(worst, abs(c - channels.capacity_oracle(ch)))
-        assert abs(c - channels.capacity(channels.BinaryChannel(q, p))) <= 1e-12
-        assert abs(c - channels.capacity(channels.BinaryChannel(1 - p, 1 - q))) <= 1e-12
+    worst, worst_sym = sample_capacity_oracle(np.random.default_rng(44), 1_000)
+    assert worst_sym <= 1e-12
     criterion_report("6c", worst <= 1e-6, f"1e3 channels, max |closed - iterative| = {worst:.2e}")
     assert worst <= 1e-6
 
 
 def test_criterion_6d_midpoint_convexity(criterion_report):
-    rng = np.random.default_rng(45)
-    bad = 0
-    for _ in range(1_000):
-        p1, p2, q = rng.uniform(0, 1, 3)
-        if channels._capacity_pq(0.5 * (p1 + p2), q) > \
-           0.5 * (channels._capacity_pq(p1, q) + channels._capacity_pq(p2, q)) + 1e-12:
-            bad += 1
-        if channels._capacity_pq(q, 0.5 * (p1 + p2)) > \
-           0.5 * (channels._capacity_pq(q, p1) + channels._capacity_pq(q, p2)) + 1e-12:
-            bad += 1
+    bad = int((sample_convexity(np.random.default_rng(45), 1_000) > 1e-12).sum())
     criterion_report("6d", bad == 0, f"1e3 triples, {bad} convexity violations")
     assert bad == 0
 

@@ -92,6 +92,14 @@ class TestCurve:
     def test_bad_step_exits_2(self, capsys):
         assert main(["curve", "--m", "2", "--step", "3.0"]) == 2
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-4"])
+    def test_nonpositive_tol_exits_2(self, tol, capsys):
+        # "--tol=" form: argparse takes a bare "-1e-4" for an option, not a value
+        assert main(["curve", "--m", "2", "--step", "1.0", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+
     def test_solver_failure_exits_3_with_partial_file(self, tmp_path, monkeypatch):
         from signalcap import strength
         real = strength.chained_polytope_bound
@@ -108,25 +116,61 @@ class TestCurve:
         assert lines[-1].startswith("# non-convergence at delta=")
         assert len(lines) == 1 + 2 + 1   # header, two good rows, trailing comment
 
+    def test_master_lp_failure_exits_3(self, capsys, monkeypatch):
+        from types import SimpleNamespace
+        from signalcap import strength
+
+        def failing_linprog(*args, **kwargs):
+            return SimpleNamespace(success=False, message="forced HiGHS failure")
+
+        monkeypatch.setattr(strength, "linprog", failing_linprog)
+        assert main(["curve", "--m", "2", "--step", "1.0"]) == 3
+        captured = capsys.readouterr()
+        header, trailer = captured.out.strip().splitlines()
+        assert header.startswith("delta,c_delta,")
+        assert trailer == "# non-convergence at delta=[0.0, 1.0, 2.0]"
+        assert "Traceback" not in captured.err
+        row = strength.curve(2, [1.0]).rows[0]
+        assert "forced HiGHS failure" in row.error
+
 
 class TestVerify:
+    # the full stdout, pinned byte for byte
+    MINIMAL_SET = """\
+verify minimal-set:
+  [PASS] m=2: 1 multiset(s) of size 4
+  [PASS] m=2: 0 multiset(s) of size 3
+  [PASS] m=3: 1 multiset(s) of size 6
+  [PASS] m=3: 0 multiset(s) of size 5
+"""
+    APPENDIX_B = """\
+verify appendix-b:
+  [PASS] alpha*: expected 0.459 +- 0.002, computed 0.458937
+  [PASS] C_2: expected 0.158 +- 0.002, computed 0.157774
+  [PASS] subregion optimum: expected 0.322 +- 0.001, computed 0.321928
+"""
+
     def test_minimal_set_passes(self, capsys):
         assert main(["verify", "minimal-set"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("[PASS]") == 4 and "[FAIL]" not in out
+        assert capsys.readouterr().out == self.MINIMAL_SET
 
     def test_appendix_b_passes(self, capsys):
         assert main(["verify", "appendix-b"]) == 0
-        out = capsys.readouterr().out
-        assert "[PASS] alpha*" in out
-        assert "[PASS] C_2" in out
-        assert "[PASS] subregion optimum" in out
-        assert "[FAIL]" not in out
+        assert capsys.readouterr().out == self.APPENDIX_B
 
     def test_properties_pass(self, capsys):
         assert main(["verify", "properties", "--seed", "1"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("[PASS]") == 4
+        lines = capsys.readouterr().out.splitlines()
+        # the check names perfbench/checks.py reads back from these lines
+        prefixes = ["  [PASS] 1e4 nonsignaling boxes: ",
+                    "  [PASS] 1e4 random distributions x 4 sign patterns: ",
+                    "  [PASS] 1e3 channels: |closed form - iterative| max ",
+                    "  [PASS] 1e3 triples: "]
+        assert lines[0] == "verify properties:"
+        assert len(lines) == 1 + len(prefixes)
+        for line, prefix in zip(lines[1:], prefixes):
+            assert line.startswith(prefix)
+        assert lines[3].endswith(" <= 1e-6, symmetries hold: True")
 
 
 class TestDumpPolytope:
@@ -152,21 +196,25 @@ class TestDumpPolytope:
 
 
 class TestConfigFile:
-    def test_config_overridden_by_flags(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("solver_tol = 0.01\nseed = 3\n")
+    """Settings come from flags only; there is no configuration file."""
+
+    def test_default_tol_flag_matches_default(self, tmp_path):
         out_a = tmp_path / "a.csv"
-        code = main(["curve", "--m", "2", "--step", "1.0",
-                     "--config", str(cfg), "--tol", "1e-4",
-                     "--out", str(out_a)])
-        assert code == 0
-        # --tol overrides the config file; result equals the default-tol run
+        assert main(["curve", "--m", "2", "--step", "1.0", "--tol", "1e-4",
+                     "--out", str(out_a)]) == 0
         out_b = tmp_path / "b.csv"
         assert main(["curve", "--m", "2", "--step", "1.0", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_unknown_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["check-box", str(DATA / "uniform_box.json")],
+        ["curve"],
+        ["verify", "minimal-set"],
+        ["dump-polytope", "--delta", "1"],
+    ], ids=["check-box", "curve", "verify", "dump-polytope"])
+    def test_config_flag_rejected(self, argv, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("nonsense = 1\n")
-        assert main(["curve", "--m", "2", "--step", "1.0",
-                     "--config", str(cfg)]) == 2
+        cfg.write_text("seed = 3\n")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg)])
+        assert exc.value.code == 2

@@ -233,8 +233,8 @@ class TestBoxPolytope:
 
 
 class TestCharacterization:
-    def test_full_report(self):
-        rep = geometry.verify_characterization()
+    def test_full_report(self, characterization):
+        rep, _ = characterization
         assert rep.q_vertices_in_slices
         assert rep.all_preimages_found
         # golden counts from the first verified run
