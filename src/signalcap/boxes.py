@@ -278,20 +278,11 @@ def canonicalize_signs(box: TripartiteBox):
 # ---------------------------------------------------------------------------
 # correlator vectors
 
-def component_names(m: int, relaxed: bool = False) -> list:
-    names = []
-    for i in range(1, m):
-        names += [f"x_A^{i}", f"y_A^{i}"]
-    for i in range(m):
-        names += [f"x_B^{i}", f"y_B^{i}"]
-    if relaxed:
-        names += ["x_A^0", "y_A^0"]
-    return names
+def correlator_layout(m: int, relaxed: bool = False) -> tuple:
+    """Canonical order of the correlator-vector components.
 
-
-@dataclass(frozen=True, eq=False)
-class CorrelatorVector:
-    """The conditional correlators that feed channels and polytopes.
+    Each entry is (name, table, i, j): the component is entry (i, j) of the
+    "ae" or "be" table of two_body_tables.
 
     x_A^i = <B_i E>_{A_i} and y_A^i = <B_i E>_{A_{i+1}} for i = 1..m-1
     (index m wraps to conditioning on A_0); x_B^i = <A_i E>_{B_{i-1}} and
@@ -299,29 +290,44 @@ class CorrelatorVector:
     y_B^0 = <A_0 E>_{B_{m-1}}.  In relaxed mode the pair
     (x_A^0, y_A^0) = (<B_0 E>_{A_0}, <B_0 E>_{A_1}) is carried as well.
     """
+    if relaxed and m != 2:
+        raise ValueError("relaxed mode is defined for m = 2 only")
+    layout = []
+    for i in range(1, m):
+        layout += [(f"x_A^{i}", "be", i, i), (f"y_A^{i}", "be", (i + 1) % m, i)]
+    layout += [("x_B^0", "ae", 0, 0), ("y_B^0", "ae", 0, m - 1)]
+    for i in range(1, m):
+        layout += [(f"x_B^{i}", "ae", i, i - 1), (f"y_B^{i}", "ae", i, i)]
+    if relaxed:
+        layout += [("x_A^0", "be", 0, 0), ("y_A^0", "be", 1, 0)]
+    return tuple(layout)
+
+
+def component_names(m: int, relaxed: bool = False) -> list:
+    return [name for name, _, _, _ in correlator_layout(m, relaxed)]
+
+
+@dataclass(frozen=True, eq=False)
+class CorrelatorVector:
+    """The conditional correlators that feed channels and polytopes, stored
+    read-only in the order of correlator_layout(m, relaxed)."""
 
     m: int
-    x_a: np.ndarray
-    y_a: np.ndarray
-    x_b: np.ndarray
-    y_b: np.ndarray
+    values: np.ndarray
     relaxed: bool = False
 
     def __post_init__(self):
-        for arr in (self.x_a, self.y_a, self.x_b, self.y_b):
-            vals = arr[~np.isnan(arr)]
-            if vals.size and (np.abs(vals) > 1.0 + 1e-9).any():
-                raise ValueError("correlator components must lie in [-1, 1]")
+        values = np.array(self.values, dtype=float)
+        want = len(correlator_layout(self.m, self.relaxed))
+        if values.shape != (want,):
+            raise ValueError(f"expected {want} components for m={self.m}, got {values.shape}")
+        if (np.abs(values) > 1.0 + 1e-9).any():
+            raise ValueError("correlator components must lie in [-1, 1]")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def as_array(self) -> np.ndarray:
-        parts = []
-        for i in range(1, self.m):
-            parts += [self.x_a[i], self.y_a[i]]
-        for i in range(self.m):
-            parts += [self.x_b[i], self.y_b[i]]
-        if self.relaxed:
-            parts += [self.x_a[0], self.y_a[0]]
-        return np.array(parts, dtype=float)
+        return self.values.copy()
 
     @property
     def names(self) -> list:
@@ -329,48 +335,15 @@ class CorrelatorVector:
 
     @classmethod
     def from_array(cls, m: int, arr, relaxed: bool = False) -> "CorrelatorVector":
-        arr = np.asarray(arr, dtype=float)
-        want = 4 * m - 2 + (2 if relaxed else 0)
-        if arr.shape != (want,):
-            raise ValueError(f"expected {want} components for m={m}, got {arr.shape}")
-        x_a = np.full(m, np.nan)
-        y_a = np.full(m, np.nan)
-        x_b = np.empty(m)
-        y_b = np.empty(m)
-        k = 0
-        for i in range(1, m):
-            x_a[i], y_a[i] = arr[k], arr[k + 1]
-            k += 2
-        for i in range(m):
-            x_b[i], y_b[i] = arr[k], arr[k + 1]
-            k += 2
-        if relaxed:
-            x_a[0], y_a[0] = arr[k], arr[k + 1]
-        return cls(m, x_a, y_a, x_b, y_b, relaxed)
+        return cls(m, arr, relaxed)
 
 
 def correlator_vector(box: TripartiteBox, relaxed: bool = False) -> CorrelatorVector:
     """Extract the channel-defining correlators of a box."""
-    m = box.m
     _, ae, be = two_body_tables(box)
-    x_a = np.full(m, np.nan)
-    y_a = np.full(m, np.nan)
-    x_b = np.empty(m)
-    y_b = np.empty(m)
-    for i in range(1, m):
-        x_a[i] = be[i, i]
-        y_a[i] = be[(i + 1) % m, i]
-    x_b[0] = ae[0, 0]
-    y_b[0] = ae[0, m - 1]
-    for i in range(1, m):
-        x_b[i] = ae[i, i - 1]
-        y_b[i] = ae[i, i]
-    if relaxed:
-        if m != 2:
-            raise ValueError("relaxed mode is defined for m = 2 only")
-        x_a[0] = be[0, 0]
-        y_a[0] = be[1, 0]
-    return CorrelatorVector(m, x_a, y_a, x_b, y_b, relaxed)
+    tables = {"ae": ae, "be": be}
+    values = [tables[t][i, j] for _, t, i, j in correlator_layout(box.m, relaxed)]
+    return CorrelatorVector(box.m, values, relaxed)
 
 
 def from_correlators(m: int, ab, ae, be) -> TripartiteBox:

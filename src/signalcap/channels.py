@@ -143,24 +143,16 @@ def correlator_to_probability(x: float) -> float:
     return (1.0 + x) / 2.0
 
 
-def probability_to_correlator(p: float) -> float:
-    return 2.0 * p - 1.0
-
-
 def family_index_pairs(m: int, relaxed: bool = False):
     """Channel labels with the component indices (into the canonical
     correlator-vector order) of their (x, y) correlator pair."""
-    pairs = []
-    base = 2 * (m - 1)
-    for i in range(m):
-        pairs.append((f"S^{i}_{{B->AE}}", base + 2 * i, base + 2 * i + 1))
-    for i in range(1, m):
-        pairs.append((f"S^{i}_{{A->BE}}", 2 * (i - 1), 2 * (i - 1) + 1))
+    index = {name: k for k, (name, _, _, _) in
+             enumerate(boxes.correlator_layout(m, relaxed))}
+    arms = [("B", "AE", i) for i in range(m)] + [("A", "BE", i) for i in range(1, m)]
     if relaxed:
-        if m != 2:
-            raise ValueError("relaxed mode is defined for m = 2 only")
-        pairs.append(("S^0_{A->BE}", 4 * m - 2, 4 * m - 1))
-    return pairs
+        arms.append(("A", "BE", 0))
+    return [(f"S^{i}_{{{sender}->{rest}}}", index[f"x_{sender}^{i}"], index[f"y_{sender}^{i}"])
+            for sender, rest, i in arms]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import monogamy
+from . import boxes, monogamy
 from .rational_lp import lp_feasible, linprog_exact, rank_select, solve_square_exact
 
 
@@ -62,13 +62,10 @@ def build_q_delta(m: int, delta, relaxed: bool = False) -> HPolytope:
     d = _rationalize(delta)
     if not 0 <= d <= 2:
         raise ValueError(f"delta must lie in [0, 2], got {delta}")
-    if relaxed and m != 2:
-        raise ValueError("relaxed mode is defined for m = 2 only")
-    base = 4 * m - 2
-    dim = base + (2 if relaxed else 0)
+    dim = len(boxes.correlator_layout(m, relaxed))
     rows = []
     for summed in monogamy.all_summed_constraints(m):
-        coeffs = [Fraction(-int(v)) for v in summed] + [Fraction(0)] * (dim - base)
+        coeffs = [Fraction(-int(v)) for v in summed] + [Fraction(0)] * (dim - len(summed))
         rows.append((tuple(coeffs), -d))
     rows += _bounds_rows(dim)
     return HPolytope(dim, tuple(rows))
@@ -172,8 +169,9 @@ AB = {(i, j): 2 * i + j for i in range(2) for j in range(2)}
 AE = {(i, j): 4 + 2 * i + j for i in range(2) for j in range(2)}
 BE = {(i, j): 8 + 2 * i + j for i in range(2) for j in range(2)}
 
-# phi: twelve correlators -> (x_A^1, y_A^1, x_B^0, y_B^0, x_B^1, y_B^1)
-PHI_INDICES = (BE[(1, 1)], BE[(0, 1)], AE[(0, 0)], AE[(0, 1)], AE[(1, 0)], AE[(1, 1)])
+# phi: twelve correlators -> the correlator vector (x_A^1, y_A^1, x_B^0, y_B^0, x_B^1, y_B^1)
+PHI_INDICES = tuple({"ae": AE, "be": BE}[table][(i, j)]
+                    for _, table, i, j in boxes.correlator_layout(2))
 
 # monogamy functional M(p) = I_AB + 2 <B_0 E>_{A_0}
 _M_ROW = [Fraction(0)] * 12

@@ -151,24 +151,6 @@ def _members(m: int, swaps) -> tuple:
     return tuple(members)
 
 
-def _component_index(m: int):
-    """Map raw correlator symbols to canonical correlator-vector positions."""
-    idx = {}
-    k = 0
-    for i in range(1, m):
-        idx[("be", i, i)] = k            # x_A^i
-        idx[("be", (i + 1) % m, i)] = k + 1   # y_A^i
-        k += 2
-    idx[("ae", 0, 0)] = k                # x_B^0
-    idx[("ae", 0, m - 1)] = k + 1        # y_B^0
-    k += 2
-    for i in range(1, m):
-        idx[("ae", i, i - 1)] = k        # x_B^i
-        idx[("ae", i, i)] = k + 1        # y_B^i
-        k += 2
-    return idx
-
-
 def summed_constraint(m: int, members) -> np.ndarray:
     """Coefficients of the violation constraint obtained by summing members.
 
@@ -198,8 +180,9 @@ def summed_constraint(m: int, members) -> np.ndarray:
     if b0e != 2:
         raise ValueError("member sum does not isolate 2<B_0 E>")
 
-    comp = _component_index(m)
-    coeffs = np.zeros(4 * m - 2)
+    layout = boxes.correlator_layout(m)
+    comp = {(table, i, j): k for k, (_, table, i, j) in enumerate(layout)}
+    coeffs = np.zeros(len(layout))
     for key, s in raw.items():
         if s == 0:
             continue
@@ -226,9 +209,6 @@ class InequalitySet:
         b_bits = tuple(self.swaps[2 * (i - 1) + 1] for i in range(1, m - 1))
         c = 1 - self.swaps[2 * (m - 2) + 1]
         return a_bits, b_bits, c
-
-    def summed_value(self, c: boxes.CorrelatorVector) -> float:
-        return float(self.summed @ c.as_array()[: 4 * self.m - 2])
 
 
 def generate_inequality_set(m: int, swaps=None) -> InequalitySet:

@@ -122,7 +122,7 @@ def c_delta(delta: float, tol: float = 1e-4, relaxed: bool = False) -> StrengthR
     """Min-max capacity over the two-setting violation polytope."""
     poly = geometry.build_q_delta(2, delta, relaxed)
     pairs = channels.family_index_pairs(2, relaxed)
-    sym = (6, 7) if relaxed else None
+    sym = pairs[-1][1:] if relaxed else None   # the relaxed pair (x_A^0, y_A^0)
     value, witness, gap, it = minimax_capacity(poly, pairs, tol, symmetrize_idx=sym)
     vec = boxes.CorrelatorVector.from_array(2, witness, relaxed)
     return StrengthResult(float(delta), value, vec, "minimax_solver", "exact", gap, it)
@@ -469,7 +469,7 @@ def curve(m: int, deltas, tol: float = 1e-4) -> StrengthCurve:
             res = chained_polytope_bound(m, d, tol)
             fam = optimal_family(d).value if m == 2 else None
             rows.append(CurveRow(d, res.value, fam, g2, g3,
-                                 tuple(res.witness.as_array()[: 4 * m - 2]),
+                                 tuple(res.witness.values),
                                  res.label))
         except NoConvergence as err:
             rows.append(CurveRow(d, float("nan"), None, g2, g3, (),

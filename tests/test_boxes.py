@@ -9,7 +9,7 @@ from signalcap.boxes import (
     NotNormalized,
     SignFlipRecord,
 )
-from signalcap import monogamy
+from signalcap import channels, geometry, monogamy
 
 
 def uniform_box(m=2):
@@ -259,6 +259,44 @@ class TestCorrelatorVector:
         vec = boxes.correlator_vector(box)
         back = boxes.CorrelatorVector.from_array(3, vec.as_array())
         assert np.allclose(back.as_array(), vec.as_array())
+        # the component definitions, read straight off the two-body tables
+        _, ae, be = boxes.two_body_tables(box)
+        assert vec.names == ["x_A^1", "y_A^1", "x_A^2", "y_A^2",
+                             "x_B^0", "y_B^0", "x_B^1", "y_B^1", "x_B^2", "y_B^2"]
+        assert vec.as_array().tolist() == [
+            be[1, 1], be[2, 1], be[2, 2], be[0, 2],    # <B_i E>_{A_i}, <B_i E>_{A_i+1}
+            ae[0, 0], ae[0, 2],                        # <A_0 E>_{B_0}, <A_0 E>_{B_2}
+            ae[1, 0], ae[1, 1], ae[2, 1], ae[2, 2]]    # <A_i E>_{B_i-1}, <A_i E>_{B_i}
+
+    def test_as_array_is_a_copy(self):
+        vec = boxes.correlator_vector(boxes.reference_box(2.0, 0.3))
+        arr = vec.as_array()
+        arr[:] = 0.0
+        assert vec.as_array()[0] == pytest.approx(0.3, abs=1e-12)
+        with pytest.raises(ValueError):
+            vec.values[0] = 0.0
+
+    def test_family_index_pairs_follow_layout(self):
+        assert channels.family_index_pairs(2) == [
+            ("S^0_{B->AE}", 2, 3), ("S^1_{B->AE}", 4, 5), ("S^1_{A->BE}", 0, 1)]
+        assert channels.family_index_pairs(3) == [
+            ("S^0_{B->AE}", 4, 5), ("S^1_{B->AE}", 6, 7), ("S^2_{B->AE}", 8, 9),
+            ("S^1_{A->BE}", 0, 1), ("S^2_{A->BE}", 2, 3)]
+        assert channels.family_index_pairs(2, relaxed=True) == [
+            ("S^0_{B->AE}", 2, 3), ("S^1_{B->AE}", 4, 5), ("S^1_{A->BE}", 0, 1),
+            ("S^0_{A->BE}", 6, 7)]
+        # twelve-correlator box coordinates AB00..AB11 AE00..AE11 BE00..BE11
+        assert geometry.PHI_INDICES == (11, 9, 4, 5, 6, 7)
+
+    def test_relaxed_needs_m2_everywhere(self):
+        msg = "relaxed mode is defined for m = 2 only"
+        box = boxes.random_nonsignaling(3, 9)
+        for call in (lambda: geometry.build_q_delta(3, 1.0, relaxed=True),
+                     lambda: channels.family_index_pairs(3, relaxed=True),
+                     lambda: boxes.correlator_vector(box, relaxed=True),
+                     lambda: boxes.CorrelatorVector.from_array(3, np.zeros(12), relaxed=True)):
+            with pytest.raises(ValueError, match=msg):
+                call()
 
 
 class TestJsonFormat:

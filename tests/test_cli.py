@@ -92,7 +92,7 @@ class TestCurve:
     def test_bad_step_exits_2(self, capsys):
         assert main(["curve", "--m", "2", "--step", "3.0"]) == 2
 
-    @pytest.mark.parametrize("tol", ["0", "-1e-4"])
+    @pytest.mark.parametrize("tol", ["0", "-1e-4", "nan"])
     def test_nonpositive_tol_exits_2(self, tol, capsys):
         # "--tol=" form: argparse takes a bare "-1e-4" for an option, not a value
         assert main(["curve", "--m", "2", "--step", "1.0", f"--tol={tol}"]) == 2

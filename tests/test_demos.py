@@ -1,0 +1,24 @@
+"""Smoke test: the demos run to completion and print something.
+
+04_polytope_geometry.py is left out for its run time (about half a minute);
+tests/test_geometry.py covers the calls it makes.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ["01_boxes_and_monogamy.py", "02_channel_capacity.py",
+         "03_strength_curve.py", "05_chained_settings.py"]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
