@@ -4,6 +4,9 @@ H-representations of the constraint polytopes for boxes exceeding the
 monogamy bound, complete vertex enumeration by basic-solution search, and
 the consistency check that every inequality-polytope vertex is realized by
 an actual box (so the inequality description is not too loose).
+
+Floats propose, rationals decide: a batched numpy prefilter and HiGHS
+narrow the search, and every accept or reject is an exact check.
 """
 
 from __future__ import annotations
@@ -11,11 +14,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
+from scipy.optimize import linprog
 
 from . import boxes, monogamy
-from .rational_lp import lp_feasible, linprog_exact, rank_select, solve_square_exact
+from .rational_lp import (int_scale_row, linprog_exact, lp_feasible, rank_select,
+                          solve_square_exact)
 
 
 class UnboundedPolytope(Exception):
@@ -119,44 +125,126 @@ def _check_bounded(poly: HPolytope):
                 raise UnboundedPolytope(f"coordinate {i} unbounded")
 
 
+def _scaled(x):
+    """A rational vector as (integer numerators, common denominator)."""
+    den = lcm(*(v.denominator for v in x))
+    return [v.numerator * (den // v.denominator) for v in x], den
+
+
+# Subsets per batched float prefilter call.  The prefilter's arrays grow with
+# it, not with the number of subsets: enumerating build_q_v() raises peak RSS
+# by about 1 MB at 64 to 512 subsets per chunk and by 2 MB at 1 024, at the
+# same speed.
+_CHUNK = 512
+
+
+def _float_drops(eq_a, eq_b, a, b, combos):
+    """Subsets a float solve proves to give no vertex, as a boolean mask.
+
+    eq_a, eq_b, a, b hold the integerised equality and inequality rows as
+    floats (exactly, the caller checks); combos is one chunk of inequality
+    index subsets.  A subset is dropped only when a bound proves the float
+    verdict:
+
+    * singular: the exact determinant is an integer, and partial-pivoting LU
+      computes det(M + dM) with |dM_ij| <= gamma n 2^(n-1) max|M| (growth
+      factor 2^(n-1)).  Hadamard's inequality on each row turns that into
+      |det_f - det| <= H (exp(sum_i |dm_i| / |m_i|) (1 + gamma) - 1) with
+      H = prod_i |m_i|.  |det_f| + that bound < 1 forces det = 0.
+    * infeasible: if det != 0 then |det| >= max(1, |det_f| - bound), and the
+      adjugate bound |adj_ij| <= H / |m_j| gives
+      |x_f - x|_inf <= H / |det| * sum_j |rho_j| / |m_j| for the residual
+      rho = M x_f - rhs.  A row with a_k x_f - b_k above |a_k|_1 times that
+      plus its own rounding is violated by the exact solution too.
+
+    Every bound is doubled to cover the rounding of its own evaluation.
+    Undecided subsets (non-finite values included) are kept.
+    """
+    k, n = eq_a.shape[0], a.shape[1]
+    count = len(combos)
+    gamma = (n + 2) * np.finfo(float).eps     # covers gamma_(n+1) = (n+1)u / (1 - (n+1)u)
+    mat = np.concatenate([np.broadcast_to(eq_a, (count, k, n)), a[combos]], axis=1)
+    rhs = np.concatenate([np.broadcast_to(eq_b, (count, k)), b[combos]], axis=1)
+    norms = np.linalg.norm(mat, axis=2)
+    zero_row = (norms == 0).any(axis=1)
+    hadamard = norms.prod(axis=1)
+    step = gamma * n * 2.0 ** (n - 1) * np.abs(mat).max(axis=(1, 2)) * np.sqrt(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rel = (step[:, None] / norms).sum(axis=1)
+        det_err = 2 * hadamard * (np.expm1(rel) + gamma * np.exp(rel))
+        det_f = np.linalg.det(mat)
+        singular = zero_row | (np.abs(det_f) + det_err < 1)
+
+        solvable = ~singular & np.isfinite(det_f) & (det_f != 0)
+        mat[~solvable] = np.eye(n)
+        rhs[~solvable] = 0
+        x = np.linalg.solve(mat, rhs[..., None])[..., 0]
+        lhs_abs = np.einsum("cij,cj->ci", np.abs(mat), np.abs(x)) + np.abs(rhs)
+        rho = np.abs(np.einsum("cij,cj->ci", mat, x) - rhs) + 2 * gamma * lhs_abs
+        det_low = np.maximum(1.0, np.abs(det_f) - det_err)
+        dx = 2 * hadamard / det_low * (rho / norms).sum(axis=1)
+        resid = x @ a.T - b
+        band = (2 * np.abs(a).sum(axis=1) * dx[:, None]
+                + 2 * gamma * (np.abs(x) @ np.abs(a).T + np.abs(b)))
+        infeasible = solvable & (resid > band).any(axis=1)
+    return singular | infeasible
+
+
 def enumerate_vertices(poly: HPolytope) -> list:
     """All vertices of a bounded H-polytope, exactly.
 
-    Every subset of dim constraints (equalities always included) is solved;
-    solutions satisfying all constraints are vertices.  Complete because a
-    vertex always has dim linearly independent active constraints.
+    Every subset of dim - (independent equalities) inequality rows, with the
+    equalities always included, is a candidate; a candidate whose system is
+    nonsingular and whose solution satisfies every row is a vertex.  This is
+    complete because a vertex always has dim linearly independent active
+    constraints.
+
+    Floats propose, rationals decide.  The rows are integerised once.  The
+    subsets are walked in chunks of _CHUNK through a batched float
+    determinant and solve (_float_drops), which drops a subset only when an
+    error bound proves it singular or its solution infeasible, so every
+    vertex's subsets survive.  Survivors are solved exactly
+    (solve_square_exact) and accepted only after an exact check of every
+    row.  With coefficients too large for floats to hold exactly, every
+    subset goes to the exact path.
     """
     _check_bounded(poly)
     dim = poly.dim
-    eq_rows = [list(c) for c, _ in poly.equalities]
-    eq_rhs = [b for _, b in poly.equalities]
-    keep = rank_select(eq_rows)
-    eq_rows = [eq_rows[i] for i in keep]
-    eq_rhs = [eq_rhs[i] for i in keep]
-    need = dim - len(eq_rows)
+    keep = rank_select([c for c, _ in poly.equalities])
+    eqs = [int_scale_row(*poly.equalities[i]) for i in keep]
+    need = dim - len(eqs)
     if need < 0:
         raise ValueError("more independent equalities than dimensions")
+    ineqs = [int_scale_row(c, b) for c, b in poly.inequalities]
 
-    ineqs = list(poly.inequalities)
-    a_float = np.array([[float(v) for v in c] for c, _ in ineqs])
-    b_float = np.array([float(b) for _, b in ineqs])
+    prefilter = all(abs(v) < 2 ** 53 for row, rhs in eqs + ineqs for v in (*row, rhs))
 
-    found = {}
-    for combo in itertools.combinations(range(len(ineqs)), need):
-        rows = eq_rows + [list(ineqs[k][0]) for k in combo]
-        rhs = eq_rhs + [ineqs[k][1] for k in combo]
-        x = solve_square_exact(rows, rhs)
-        if x is None:
-            continue
-        xf = np.array([float(v) for v in x])
-        if (a_float @ xf - b_float).max() > 1e-9:
-            continue
-        if x in found:
-            continue
-        ok = all(sum(c * v for c, v in zip(coeffs, x)) <= b for coeffs, b in ineqs)
-        if ok:
-            found[x] = True
-    return sorted(found.keys())
+    def as_float(rows):
+        return (np.array([r for r, _ in rows], dtype=float).reshape(len(rows), dim),
+                np.array([b for _, b in rows], dtype=float))
+
+    eq_a, eq_b = as_float(eqs)
+    a, b = as_float(ineqs)
+    eq_list = [r for r, _ in eqs]
+    eq_rhs = [r for _, r in eqs]
+
+    seen = set()
+    found = []
+    subsets = itertools.combinations(range(len(ineqs)), need)
+    while chunk := list(itertools.islice(subsets, _CHUNK)):
+        combos = np.array(chunk, dtype=np.intp).reshape(len(chunk), need)
+        drop = (_float_drops(eq_a, eq_b, a, b, combos) if prefilter
+                else np.zeros(len(combos), dtype=bool))
+        for combo in combos[~drop].tolist():
+            x = solve_square_exact(eq_list + [ineqs[k][0] for k in combo],
+                                   eq_rhs + [ineqs[k][1] for k in combo])
+            if x is None or x in seen:
+                continue
+            seen.add(x)
+            xs, den = _scaled(x)
+            if all(sum(c * v for c, v in zip(row, xs)) <= rhs * den for row, rhs in ineqs):
+                found.append(x)
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +306,106 @@ def monogamy_functional(p12):
     return sum(c * v for c, v in zip(M_ROW, p12))
 
 
+# The box LP of box_preimage in integers and floats.  Only the right-hand
+# sides of the equalities depend on the query: (0, c6, 4 + delta).
+_EQ_ROWS = [int_scale_row(c, 0)[0] for c, _ in box_polytope_equalities()]
+_EQ_ROWS += [[int(k == pos) for k in range(12)] for pos in PHI_INDICES]
+_EQ_ROWS.append(int_scale_row(M_ROW, 0)[0])
+_POS_ROWS = [int_scale_row(c, b) for c, b in box_polytope_inequalities()]
+_BOUND_ROWS = [int_scale_row(c, b) for c, b in _bounds_rows(12)]
+_EQ_A = np.array(_EQ_ROWS, dtype=float)
+_POS_A = np.array([r for r, _ in _POS_ROWS], dtype=float)
+_UB_A = np.array([r for r, _ in _POS_ROWS + _BOUND_ROWS], dtype=float)
+_UB_B = np.array([b for _, b in _POS_ROWS + _BOUND_ROWS], dtype=float)
+# rows within this slack of HiGHS's point are taken as active (HiGHS's own
+# feasibility tolerance is 1e-7); a wrong pick only fails the exact check
+_ACTIVE_SLACK = 1e-6
+
+
+def _exact_box(x_float, eq_rhs):
+    """The exact vertex behind HiGHS's point, or None unless it satisfies
+    every equality, positivity and bound row exactly."""
+    slack = _UB_B - _UB_A @ x_float
+    near = np.flatnonzero(slack < _ACTIVE_SLACK)
+    ub_rows = _POS_ROWS + _BOUND_ROWS
+    cand = list(zip(_EQ_ROWS, eq_rhs)) + [ub_rows[i] for i in near[np.argsort(slack[near])]]
+    keep = rank_select([row for row, _ in cand])
+    if len(keep) < 12:
+        return None
+    x = solve_square_exact([cand[i][0] for i in keep], [cand[i][1] for i in keep])
+    if x is None:
+        return None
+    xs, den = _scaled(x)
+    if all(sum(c * v for c, v in zip(row, xs)) == rhs * den
+           for row, rhs in zip(_EQ_ROWS, eq_rhs)) and \
+       all(sum(c * v for c, v in zip(row, xs)) <= rhs * den for row, rhs in ub_rows):
+        return x
+    return None
+
+
+def _farkas_certified(eq_rhs) -> bool:
+    """Whether a Farkas vector proposed by HiGHS proves the box LP infeasible.
+
+    y = (y_eq, y_pos) with y_pos >= 0, A^T y = 0 and b^T y < 0 rules out
+    every x with A_eq x = b_eq, A_pos x <= b_pos: such an x would give
+    0 = y^T A x <= b^T y < 0.  HiGHS minimizes b^T y over |y| <= 1; the
+    rationalised y must pass all three conditions exactly.  The bound rows
+    are left out: the positivity rows imply them.
+    """
+    b = np.concatenate([[float(v) for v in eq_rhs], np.ones(len(_POS_ROWS))])
+    res = linprog(b, A_eq=np.vstack([_EQ_A, _POS_A]).T, b_eq=np.zeros(12),
+                  bounds=[(-1, 1)] * len(_EQ_ROWS) + [(0, 1)] * len(_POS_ROWS),
+                  method="highs")
+    if res.status != 0 or not res.fun < 0:
+        return False
+    y = [Fraction(v).limit_denominator(10 ** 6) for v in res.x]
+    if any(v < 0 for v in y[len(_EQ_ROWS):]):
+        return False
+    ys, _ = _scaled(y)
+    rows = _EQ_ROWS + [r for r, _ in _POS_ROWS]
+    if any(sum(w * row[j] for w, row in zip(ys, rows)) for j in range(12)):
+        return False
+    rhs = list(eq_rhs) + [r for _, r in _POS_ROWS]
+    return sum(w * r for w, r in zip(ys, rhs)) < 0
+
+
+def _highs_preimage(eq_rhs):
+    """(found, witness) from HiGHS once certified exactly, else None."""
+    res = linprog(np.zeros(12), A_ub=_POS_A, b_ub=np.ones(len(_POS_ROWS)), A_eq=_EQ_A,
+                  b_eq=[float(v) for v in eq_rhs], bounds=(-1, 1), method="highs")
+    if res.status == 0:
+        x = _exact_box(res.x, eq_rhs)
+        if x is not None:
+            return True, x
+    elif res.status == 2 and _farkas_certified(eq_rhs):
+        return False, None
+    return None
+
+
 def box_preimage(c6, delta):
     """Exact-rational box realizing the six correlators with violation delta.
 
     Returns (found, witness) where the witness is the twelve-correlator
-    vector; solved as a feasibility LP over the box polytope shifted to
-    nonnegative variables.
+    vector: 32 positivity rows, equal <B_0 E> conditionals, phi = c6 and
+    monogamy value 4 + delta, all exactly.
+
+    Floats propose, rationals decide.  HiGHS solves the feasibility LP.
+    Feasible: the rows active at its point are picked independent in
+    rationals (rank_select), solved exactly (solve_square_exact), and the
+    solution is returned only if every equality, positivity and bound row
+    holds exactly.  Infeasible: a second HiGHS LP proposes a Farkas vector,
+    accepted only if it verifies exactly (_farkas_certified).  Either verdict
+    is thus proved, whatever HiGHS's tolerances.  When a certificate does not
+    verify, the Bland-rule rational simplex (lp_feasible) decides, over the
+    box polytope shifted to nonnegative variables.
     """
     c6 = [_rationalize(v) for v in c6]
     d = _rationalize(delta)
+    eq_rhs = [Fraction(0), *c6, Fraction(4) + d]
+    verdict = _highs_preimage(eq_rhs)
+    if verdict is not None:
+        return verdict
+
     eqs = list(box_polytope_equalities())
     for pos, val in zip(PHI_INDICES, c6):
         row = [Fraction(0)] * 12

@@ -1,36 +1,42 @@
 """Exact linear algebra and linear programming over the rationals.
 
-Dense simplex with Bland's rule on Fraction tableaus: no tolerances, every
-answer is exact.  Sized for the small systems that show up here (a dozen
-variables, a few dozen constraints).
+Fraction-free (Bareiss) square solves and rank selection on integerised
+rows, and a dense simplex with Bland's rule on Fraction tableaus: no
+tolerances, every answer is exact.  Sized for the small systems that show
+up here (a dozen variables, a few dozen constraints).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
-def _int_scale_row(coeffs, rhs):
-    """Multiply a rational row by the lcm of denominators; returns int tuple."""
-    dens = [Fraction(c).denominator for c in coeffs] + [Fraction(rhs).denominator]
-    scale = 1
-    for d in dens:
-        scale = scale * d // gcd(scale, d)
-    return ([int(Fraction(c) * scale) for c in coeffs], int(Fraction(rhs) * scale))
+def int_scale_row(coeffs, rhs):
+    """Multiply a rational row by the lcm of its denominators.
+
+    Returns (int list, int), a fresh list.  Python ints pass through
+    without a Fraction round trip, so a row integerised once is cheap to
+    hand in again.
+    """
+    vals = [v if type(v) in (int, Fraction) else Fraction(v) for v in (*coeffs, rhs)]
+    scale = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (scale // v.denominator) for v in vals]
+    return ints[:-1], ints[-1]
 
 
 def solve_square_exact(rows, rhs):
     """Solve an n x n rational system exactly; None when singular.
 
-    Rows are integer-scaled and eliminated fraction-free (Bareiss), so the
-    bulk of the work happens in machine/long integers.
+    Rows are integer-scaled and eliminated fraction-free (Bareiss).  The last
+    pivot D is the determinant of the row-permuted matrix, so D * x is an
+    integer vector (Cramer) and back substitution divides exactly.
     """
     n = len(rows)
     m = []
     for coeffs, b in zip(rows, rhs):
-        ints, bi = _int_scale_row(coeffs, b)
+        ints, bi = int_scale_row(coeffs, b)
         m.append(ints + [bi])
     prev = 1
     for k in range(n):
@@ -47,28 +53,35 @@ def solve_square_exact(rows, rhs):
                 mi[j] = (mi[j] * mkk - mik * mk[j]) // prev
             mi[k] = 0
         prev = m[k][k]
-    x = [Fraction(0)] * n
+    det = prev
+    y = [0] * n
     for i in range(n - 1, -1, -1):
-        acc = Fraction(m[i][n])
+        row = m[i]
+        acc = det * row[n]
         for j in range(i + 1, n):
-            acc -= m[i][j] * x[j]
-        x[i] = acc / m[i][i]
-    return tuple(x)
+            acc -= row[j] * y[j]
+        y[i] = acc // row[i]
+    return tuple(Fraction(v, det) for v in y)
 
 
 def rank_select(rows):
-    """Indices of a maximal linearly independent subset of rational rows."""
+    """Indices of a maximal linearly independent subset of rational rows,
+    the first independent ones in the given order (fraction-free)."""
     selected = []
     basis = []
     for idx, row in enumerate(rows):
-        vec = [Fraction(c) for c in row]
+        if basis and len(basis) == len(row):
+            break          # full rank: no later row can be independent
+        vec, _ = int_scale_row(row, 0)
         for piv_col, piv_vec in basis:
-            if vec[piv_col] != 0:
-                factor = vec[piv_col] / piv_vec[piv_col]
-                vec = [a - factor * b for a, b in zip(vec, piv_vec)]
+            f = vec[piv_col]
+            if f:
+                p = piv_vec[piv_col]
+                vec = [a * p - f * b for a, b in zip(vec, piv_vec)]
         piv_col = next((j for j, v in enumerate(vec) if v != 0), None)
         if piv_col is not None:
-            basis.append((piv_col, vec))
+            g = gcd(*vec)
+            basis.append((piv_col, [v // g for v in vec]))
             selected.append(idx)
     return selected
 

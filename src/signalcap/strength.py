@@ -156,7 +156,7 @@ def gava_bound(m: int, delta: float) -> float:
     if m < 2:
         raise ValueError("need m >= 2")
     if not 0.0 <= delta <= 2.0:
-        raise ValueError("delta must lie in [0, 2]")
+        raise ValueError(f"delta must lie in [0, 2], got {delta}")
     return 1.0 - channels.binary_entropy((1.0 + delta / (4.0 * m - 2.0)) / 2.0)
 
 

@@ -92,6 +92,13 @@ class TestCurve:
     def test_bad_step_exits_2(self, capsys):
         assert main(["curve", "--m", "2", "--step", "3.0"]) == 2
 
+    def test_grid_past_two_names_the_delta(self, capsys):
+        # the step-0.3 grid reaches delta = 2.1; the error line names it
+        assert main(["curve", "--m", "2", "--step", "0.3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: delta must lie in [0, 2], got 2.1\n"
+
     @pytest.mark.parametrize("tol", ["0", "-1e-4", "nan"])
     def test_nonpositive_tol_exits_2(self, tol, capsys):
         # "--tol=" form: argparse takes a bare "-1e-4" for an option, not a value

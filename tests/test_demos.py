@@ -1,8 +1,4 @@
-"""Smoke test: the demos run to completion and print something.
-
-04_polytope_geometry.py is left out for its run time (about half a minute);
-tests/test_geometry.py covers the calls it makes.
-"""
+"""Smoke test: the demos run to completion and print something."""
 import os
 import subprocess
 import sys
@@ -12,7 +8,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ["01_boxes_and_monogamy.py", "02_channel_capacity.py",
-         "03_strength_curve.py", "05_chained_settings.py"]
+         "03_strength_curve.py", "04_polytope_geometry.py", "05_chained_settings.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -1,14 +1,18 @@
 import itertools
+import pathlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from signalcap import boxes, geometry
 from signalcap.geometry import HPolytope, UnboundedPolytope, build_q_delta, enumerate_vertices
-from signalcap.rational_lp import linprog_exact, lp_feasible, solve_square_exact
+from signalcap.rational_lp import (int_scale_row, linprog_exact, lp_feasible, rank_select,
+                                   solve_square_exact)
 
 F = Fraction
+Q_V_VERTICES = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "q_v_vertices.txt"
 
 
 def det2(a, b, c, d):
@@ -37,6 +41,50 @@ def cramer_vertices(ineqs, dim):
         if all(sum(c * v for c, v in zip(coeffs, x)) <= b for coeffs, b in ineqs):
             out.add(tuple(F(v) for v in x))
     return sorted(out)
+
+
+def reference_vertices(poly):
+    """The subset-by-subset exact enumerator without the float prefilter:
+    every subset of rows (independent equalities always included) is solved
+    exactly, and each distinct solution is checked against every row."""
+    ineqs = [int_scale_row(c, b) for c, b in poly.inequalities]
+    keep = rank_select([c for c, _ in poly.equalities])
+    eqs = [int_scale_row(*poly.equalities[i]) for i in keep]
+    verdict = {}
+    for combo in itertools.combinations(ineqs, poly.dim - len(eqs)):
+        rows = eqs + list(combo)
+        x = solve_square_exact([c for c, _ in rows], [b for _, b in rows])
+        if x is not None and x not in verdict:
+            verdict[x] = all(sum(c * v for c, v in zip(coeffs, x)) <= b
+                             for coeffs, b in ineqs)
+    return sorted(x for x, ok in verdict.items() if ok)
+
+
+def gauss_solve(rows, rhs):
+    """Textbook Fraction elimination, independent of rational_lp."""
+    n = len(rows)
+    m = [[F(v) for v in row] + [F(b)] for row, b in zip(rows, rhs)]
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if piv is None:
+            return None
+        m[k], m[piv] = m[piv], m[k]
+        for i in range(n):
+            if i != k and m[i][k] != 0:
+                f = m[i][k] / m[k][k]
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return tuple(m[i][n] / m[i][i] for i in range(n))
+
+
+def fractional_polytope(rng, dim, extra, denominators=(3, 7)):
+    """The cube [-1, 1]^dim cut by rows with k/3 and k/7 coefficients."""
+    rows = list(geometry._bounds_rows(dim))
+    while len(rows) < 2 * dim + extra:
+        coeffs = tuple(F(int(k), int(rng.choice(denominators)))
+                       for k in rng.integers(-6, 7, dim))
+        if any(coeffs):
+            rows.append((coeffs, F(int(rng.integers(1, 8)), int(rng.choice(denominators)))))
+    return rows
 
 
 class TestExactLP:
@@ -77,6 +125,28 @@ class TestExactLP:
         assert solve_square_exact(rows, [F(3), F(0)]) == (F(1), F(1))
         assert solve_square_exact([[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)]) is None
 
+    def test_solve_square_exact_matches_gauss(self):
+        # integer back substitution after Bareiss against Fraction elimination,
+        # on fractional, integer and singular systems
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 4, 7):
+            for _ in range(15):
+                rows = [[F(int(k), int(rng.integers(1, 8))) for k in rng.integers(-5, 6, n)]
+                        for _ in range(n)]
+                if rng.uniform() < 0.3:
+                    rows[-1] = [2 * v for v in rows[0]]          # singular
+                rhs = [F(int(k), int(rng.integers(1, 5))) for k in rng.integers(-9, 10, n)]
+                assert solve_square_exact(rows, rhs) == gauss_solve(rows, rhs)
+                ints = [int_scale_row(r, b) for r, b in zip(rows, rhs)]
+                assert solve_square_exact([r for r, _ in ints], [b for _, b in ints]) == \
+                    gauss_solve(rows, rhs)
+
+    def test_rank_select_keeps_first_independent_rows(self):
+        rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(1, 2), F(0), F(1)],
+                [F(0), F(0), F(1)], [F(1), F(1), F(1)]]
+        assert rank_select(rows) == [0, 2, 3]
+        assert rank_select([[0, 0], [0, 0]]) == []
+
 
 class TestEnumerateVertices:
     def test_square(self):
@@ -106,6 +176,98 @@ class TestEnumerateVertices:
         poly = HPolytope(3, tuple(ineqs), tuple(eqs))
         verts = enumerate_vertices(poly)
         assert verts == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+    @pytest.mark.parametrize("delta", [F(0), F(1, 3), F(3, 7), F(1, 2), F(1), F(3, 2), F(2)])
+    def test_matches_reference_on_slices(self, delta):
+        poly = build_q_delta(2, delta)
+        assert enumerate_vertices(poly) == reference_vertices(poly)
+
+    def test_matches_reference_with_fractional_rows(self):
+        rng = np.random.default_rng(7)
+        for dim, extra in ((2, 4), (3, 4), (3, 6), (4, 3)):
+            poly = HPolytope(dim, tuple(fractional_polytope(rng, dim, extra)))
+            assert enumerate_vertices(poly) == reference_vertices(poly)
+
+    def test_matches_reference_with_equalities(self):
+        # x1 + x2 + x3 + x4 = 1 twice over (the copy is dependent), plus a
+        # fractional equality, inside the cube cut by fractional rows
+        rng = np.random.default_rng(11)
+        ineqs = fractional_polytope(rng, 4, 3)
+        eqs = [((F(1),) * 4, F(1)), ((F(2),) * 4, F(2)),
+               ((F(1, 3), F(-1, 7), F(0), F(1, 2)), F(1, 21))]
+        poly = HPolytope(4, tuple(ineqs), tuple(eqs))
+        verts = enumerate_vertices(poly)
+        assert verts and verts == reference_vertices(poly)
+        for v in verts:
+            assert sum(v) == 1
+
+    def test_flat_polytopes_keep_their_vertices(self):
+        # each vertex lies on a pair of opposite rows, so the float solution of
+        # either row violates the other by a rounding error: only the residual
+        # band keeps the subsets
+        third = [((F(3),), F(1)), ((F(-3),), F(-1))]
+        poly = HPolytope(1, tuple(third + list(geometry._bounds_rows(1))))
+        assert enumerate_vertices(poly) == [(F(1, 3),)]
+        slab = [((F(1, 3), F(1, 7)), F(1, 5)), ((F(-1, 3), F(-1, 7)), F(-1, 5))]
+        poly = HPolytope(2, tuple(slab + list(geometry._bounds_rows(2))))
+        verts = enumerate_vertices(poly)
+        assert len(verts) == 2 and verts == reference_vertices(poly)
+
+    def test_large_coefficients_go_to_the_exact_path(self):
+        # two rows with coefficients near 1e7 meet at (1, -1) with determinant 1:
+        # the float determinant's error bound exceeds 1, so the prefilter cannot
+        # drop the pair and Bareiss decides
+        big = 10 ** 7
+        near = [((F(big), F(big + 1)), F(-1)), ((F(big - 1), F(big)), F(-1))]
+        same = [((F(big), F(big + 1)), F(-1)), ((F(2 * big), F(2 * big + 2)), F(-2))]
+        for rows in (near, same):
+            poly = HPolytope(2, tuple(rows + list(geometry._bounds_rows(2, -2, 2))))
+            verts = enumerate_vertices(poly)
+            assert verts == reference_vertices(poly)
+            a = np.array([[float(c) for c in coeffs] for coeffs, _ in poly.inequalities])
+            b = np.array([float(r) for _, r in poly.inequalities])
+            drop = geometry._float_drops(np.zeros((0, 2)), np.zeros(0), a, b,
+                                         np.array([[0, 1]]))
+            assert not drop[0]
+        assert (F(1), F(-1)) in enumerate_vertices(
+            HPolytope(2, tuple(near + list(geometry._bounds_rows(2, -2, 2)))))
+        # 10^20 + 1 has no exact float: every subset goes to the exact path
+        huge = HPolytope(2, (((F(10 ** 20 + 1), F(1)), F(10 ** 19)),)
+                         + tuple(geometry._bounds_rows(2)))
+        assert enumerate_vertices(huge) == reference_vertices(huge)
+        assert len(reference_vertices(huge)) == 4
+
+    def test_prefilter_drops_only_proved_subsets(self):
+        # every subset the prefilter drops is exactly singular or has an
+        # exactly infeasible solution, and it does drop most subsets
+        poly = build_q_delta(2, F(3, 7))
+        rows = [int_scale_row(c, b) for c, b in poly.inequalities]
+        a = np.array([r for r, _ in rows], dtype=float)
+        b = np.array([r for _, r in rows], dtype=float)
+        combos = np.array(list(itertools.combinations(range(len(rows)), poly.dim)))
+        drop = geometry._float_drops(np.zeros((0, poly.dim)), np.zeros(0), a, b, combos)
+        assert drop.sum() > len(combos) // 2
+        for combo in combos[drop].tolist():
+            x = solve_square_exact([rows[k][0] for k in combo], [rows[k][1] for k in combo])
+            assert x is None or any(sum(c * v for c, v in zip(coeffs, x)) > rhs
+                                    for coeffs, rhs in rows)
+
+    def test_q_v_vertices(self, monkeypatch):
+        # the 24 vertices of the (c, delta) polytope, with far fewer exact
+        # solves than the C(18, 7) = 31 824 subsets
+        with open(Q_V_VERTICES) as fh:
+            expected = sorted(tuple(F(t) for t in line.split())
+                              for line in fh if line.strip() and not line.startswith("#"))
+        solves = []
+        real = geometry.solve_square_exact
+
+        def counted(rows, rhs):
+            solves.append(1)
+            return real(rows, rhs)
+
+        monkeypatch.setattr(geometry, "solve_square_exact", counted)
+        assert enumerate_vertices(geometry.build_q_v()) == expected
+        assert len(expected) == 24 and len(solves) < 31824 // 4
 
     def test_unbounded_raises(self):
         poly = HPolytope(2, ((tuple([F(1), F(0)]), F(1)),
@@ -262,6 +424,120 @@ class TestCharacterization:
         assert len(verts) == 5
         missing = [v for v in verts if not geometry.box_preimage(v, 2)[0]]
         assert len(missing) == 1
+
+
+def assert_exact_box(witness, c6, delta):
+    """The witness is exactly a box with correlators c6 and violation delta."""
+    assert len(witness) == 12 and all(isinstance(v, Fraction) for v in witness)
+    for coeffs, b in geometry.box_polytope_inequalities():
+        assert sum(c * v for c, v in zip(coeffs, witness)) <= b
+    for coeffs, b in geometry.box_polytope_equalities():
+        assert sum(c * v for c, v in zip(coeffs, witness)) == b
+    assert geometry.phi(witness) == tuple(c6)
+    assert geometry.monogamy_functional(witness) == 4 + delta
+
+
+class TestPreimageCertificates:
+    @pytest.fixture
+    def fallback_calls(self, monkeypatch):
+        calls = []
+        real = geometry.lp_feasible
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "lp_feasible", counted)
+        return calls
+
+    def test_vertices_found_without_fallback(self, fallback_calls):
+        points = [(v[:6], v[6]) for v in enumerate_vertices(geometry.build_q_v())]
+        points += [(v, F(1, 2)) for v in enumerate_vertices(build_q_delta(2, F(1, 2)))]
+        assert len(points) == 24 + 28
+        for c6, delta in points:
+            found, witness = geometry.box_preimage(c6, delta)
+            assert found
+            assert_exact_box(witness, c6, delta)
+        assert not fallback_calls
+
+    def test_missing_vertex_rejected_by_farkas_vector(self, fallback_calls, monkeypatch):
+        verdicts = []
+        real = geometry._farkas_certified
+
+        def recorded(eq_rhs):
+            verdicts.append(real(eq_rhs))
+            return verdicts[-1]
+
+        monkeypatch.setattr(geometry, "_farkas_certified", recorded)
+        q2 = build_q_delta(2, 2)
+        verts = enumerate_vertices(HPolytope(6, q2.inequalities[1:]))
+        missing = [v for v in verts if not geometry.box_preimage(v, 2)[0]]
+        assert len(missing) == 1
+        assert verdicts == [True] and not fallback_calls
+
+    @pytest.mark.parametrize("lie", ["point", "status"])
+    def test_wrong_highs_answer_falls_back(self, lie, fallback_calls, monkeypatch):
+        real = geometry.linprog
+
+        def lying(c, **kwargs):
+            res = real(c, **kwargs)
+            if lie == "status":
+                return SimpleNamespace(status=2 if res.status == 0 else 0,
+                                       x=np.zeros(len(c)), fun=-1.0)
+            if res.status == 0:   # a corner of the cube, not of the box polytope
+                return SimpleNamespace(status=0, x=-np.ones(len(c)), fun=res.fun)
+            return res
+
+        monkeypatch.setattr(geometry, "linprog", lying)
+        c6 = [F(1, 5), F(-1, 5), F(1, 2), F(1, 5), F(1, 2), F(1, 5)]
+        found, witness = geometry.box_preimage(c6, F(1))
+        assert found
+        assert_exact_box(witness, c6, F(1))
+        calls = len(fallback_calls)
+        assert calls == 1
+        assert geometry.box_preimage([F(0)] * 6, F(2)) == (False, None)
+        assert len(fallback_calls) == calls + 1
+
+    @pytest.mark.parametrize("forgery", ["zero", "off_null", "negative"])
+    def test_forged_farkas_vector_is_refused(self, forgery, fallback_calls, monkeypatch):
+        # HiGHS calls a feasible query infeasible and backs it with a vector
+        # that fails one exact Farkas condition: the fallback must decide
+        c6 = [F(1, 5), F(-1, 5), F(1, 2), F(1, 5), F(1, 2), F(1, 5)]
+        y = forged_farkas_vectors([F(0), *c6, F(5)])[forgery]
+
+        def lying(c, **kwargs):
+            if kwargs.get("A_ub") is not None:
+                return SimpleNamespace(status=2, x=None, fun=None)
+            return SimpleNamespace(status=0, x=np.array(y, dtype=float), fun=-1.0)
+
+        monkeypatch.setattr(geometry, "linprog", lying)
+        found, witness = geometry.box_preimage(c6, F(1))
+        assert found
+        assert_exact_box(witness, c6, F(1))
+        assert len(fallback_calls) == 1
+
+
+def forged_farkas_vectors(eq_rhs):
+    """Vectors y = (y_eq, y_pos) that are no Farkas vector of the box LP:
+    zero (b^T y = 0), one outside the null space of A^T, and one with
+    A^T y = 0 and b^T y < 0 but a negative weight on a positivity row."""
+    eq, pos = geometry._EQ_ROWS, geometry._POS_ROWS
+    rhs = list(eq_rhs) + [b for _, b in pos]
+    off_null = [0] * (len(eq) + len(pos))
+    off_null[len(eq) - 1] = -1                     # the monogamy row, rhs 4 + delta
+    unit = {row.index(1): k for k, row in enumerate(eq) if sorted(row) == [0] * 11 + [1]}
+    for p, q in itertools.permutations(range(len(pos)), 2):
+        diff = [a - b for a, b in zip(pos[q][0], pos[p][0])]
+        if not all(d == 0 or i in unit for i, d in enumerate(diff)):
+            continue
+        negative = [0] * (len(eq) + len(pos))
+        negative[len(eq) + p], negative[len(eq) + q] = -1, 1
+        for i, d in enumerate(diff):
+            if d:
+                negative[unit[i]] = -d
+        if sum(w * b for w, b in zip(negative, rhs)) < 0:
+            return {"zero": [0] * len(rhs), "off_null": off_null, "negative": negative}
+    raise AssertionError("no forged vector")
 
 
 class TestDumps:
