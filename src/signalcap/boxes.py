@@ -60,10 +60,6 @@ class BellScenario:
         if not isinstance(self.m, int) or self.m < 2:
             raise ValueError(f"need an integer number of settings m >= 2, got {self.m!r}")
 
-    @property
-    def settings_e(self) -> int:
-        return 1
-
 
 @dataclass(frozen=True, eq=False)
 class TripartiteBox:

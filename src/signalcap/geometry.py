@@ -1,12 +1,14 @@
 """Exact-rational polytopes over correlator space.
 
 H-representations of the constraint polytopes for boxes exceeding the
-monogamy bound, complete vertex enumeration by basic-solution search, and
-the consistency check that every inequality-polytope vertex is realized by
-an actual box (so the inequality description is not too loose).
+monogamy bound, complete vertex enumeration by an integer double
+description, and the consistency check that every inequality-polytope
+vertex is realized by an actual box (so the inequality description is not
+too loose).
 
-Floats propose, rationals decide: a batched numpy prefilter and HiGHS
-narrow the search, and every accept or reject is an exact check.
+Vertex enumeration is integer arithmetic throughout.  Box preimages follow
+"floats propose, rationals decide": HiGHS proposes, and every accept or
+reject is an exact check.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 from scipy.optimize import linprog
 
 from . import boxes, monogamy
+# perfbench/tracer.py wraps linprog_exact and lp_feasible here; box_preimage uses lp_feasible
 from .rational_lp import (int_scale_row, linprog_exact, lp_feasible, rank_select,
                           solve_square_exact)
 
@@ -99,152 +102,84 @@ def build_q_v() -> HPolytope:
 # ---------------------------------------------------------------------------
 # vertex enumeration
 
-def _has_explicit_bounds(poly: HPolytope) -> bool:
-    seen = set()
-    for coeffs, _ in poly.inequalities:
-        nz = [(i, c) for i, c in enumerate(coeffs) if c != 0]
-        if len(nz) == 1:
-            i, c = nz[0]
-            seen.add((i, c > 0))
-    return all((i, s) in seen for i in range(poly.dim) for s in (True, False))
-
-
-def _check_bounded(poly: HPolytope):
-    if _has_explicit_bounds(poly):
-        return
-    A_ub = [c for c, _ in poly.inequalities]
-    b_ub = [b for _, b in poly.inequalities]
-    A_eq = [c for c, _ in poly.equalities]
-    b_eq = [b for _, b in poly.equalities]
-    for i in range(poly.dim):
-        for sign in (1, -1):
-            c = [Fraction(0)] * poly.dim
-            c[i] = Fraction(sign)
-            res = linprog_exact(c, A_ub, b_ub, A_eq, b_eq)
-            if res.status == "unbounded":
-                raise UnboundedPolytope(f"coordinate {i} unbounded")
-
-
 def _scaled(x):
     """A rational vector as (integer numerators, common denominator)."""
     den = lcm(*(v.denominator for v in x))
     return [v.numerator * (den // v.denominator) for v in x], den
 
 
-# Subsets per batched float prefilter call.  The prefilter's arrays grow with
-# it, not with the number of subsets: enumerating build_q_v() raises peak RSS
-# by about 1 MB at 64 to 512 subsets per chunk and by 2 MB at 1 024, at the
-# same speed.
-_CHUNK = 512
-
-
-def _float_drops(eq_a, eq_b, a, b, combos):
-    """Subsets a float solve proves to give no vertex, as a boolean mask.
-
-    eq_a, eq_b, a, b hold the integerised equality and inequality rows as
-    floats (exactly, the caller checks); combos is one chunk of inequality
-    index subsets.  A subset is dropped only when a bound proves the float
-    verdict:
-
-    * singular: the exact determinant is an integer, and partial-pivoting LU
-      computes det(M + dM) with |dM_ij| <= gamma n 2^(n-1) max|M| (growth
-      factor 2^(n-1)).  Hadamard's inequality on each row turns that into
-      |det_f - det| <= H (exp(sum_i |dm_i| / |m_i|) (1 + gamma) - 1) with
-      H = prod_i |m_i|.  |det_f| + that bound < 1 forces det = 0.
-    * infeasible: if det != 0 then |det| >= max(1, |det_f| - bound), and the
-      adjugate bound |adj_ij| <= H / |m_j| gives
-      |x_f - x|_inf <= H / |det| * sum_j |rho_j| / |m_j| for the residual
-      rho = M x_f - rhs.  A row with a_k x_f - b_k above |a_k|_1 times that
-      plus its own rounding is violated by the exact solution too.
-
-    Every bound is doubled to cover the rounding of its own evaluation.
-    Undecided subsets (non-finite values included) are kept.
-    """
-    k, n = eq_a.shape[0], a.shape[1]
-    count = len(combos)
-    gamma = (n + 2) * np.finfo(float).eps     # covers gamma_(n+1) = (n+1)u / (1 - (n+1)u)
-    mat = np.concatenate([np.broadcast_to(eq_a, (count, k, n)), a[combos]], axis=1)
-    rhs = np.concatenate([np.broadcast_to(eq_b, (count, k)), b[combos]], axis=1)
-    norms = np.linalg.norm(mat, axis=2)
-    zero_row = (norms == 0).any(axis=1)
-    hadamard = norms.prod(axis=1)
-    step = gamma * n * 2.0 ** (n - 1) * np.abs(mat).max(axis=(1, 2)) * np.sqrt(n)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rel = (step[:, None] / norms).sum(axis=1)
-        det_err = 2 * hadamard * (np.expm1(rel) + gamma * np.exp(rel))
-        det_f = np.linalg.det(mat)
-        singular = zero_row | (np.abs(det_f) + det_err < 1)
-
-        solvable = ~singular & np.isfinite(det_f) & (det_f != 0)
-        mat[~solvable] = np.eye(n)
-        rhs[~solvable] = 0
-        x = np.linalg.solve(mat, rhs[..., None])[..., 0]
-        lhs_abs = np.einsum("cij,cj->ci", np.abs(mat), np.abs(x)) + np.abs(rhs)
-        rho = np.abs(np.einsum("cij,cj->ci", mat, x) - rhs) + 2 * gamma * lhs_abs
-        det_low = np.maximum(1.0, np.abs(det_f) - det_err)
-        dx = 2 * hadamard / det_low * (rho / norms).sum(axis=1)
-        resid = x @ a.T - b
-        band = (2 * np.abs(a).sum(axis=1) * dx[:, None]
-                + 2 * gamma * (np.abs(x) @ np.abs(a).T + np.abs(b)))
-        infeasible = solvable & (resid > band).any(axis=1)
-    return singular | infeasible
+def _reduced(y):
+    """A nonzero integer vector divided by the gcd of its entries, as a tuple."""
+    g = gcd(*y)
+    return tuple(v // g for v in y)
 
 
 def enumerate_vertices(poly: HPolytope) -> list:
     """All vertices of a bounded H-polytope, exactly.
 
-    Every subset of dim - (independent equalities) inequality rows, with the
-    equalities always included, is a candidate; a candidate whose system is
-    nonsingular and whose solution satisfies every row is a vertex.  This is
-    complete because a vertex always has dim linearly independent active
-    constraints.
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) in
+    integers.  The polytope is homogenised to the cone {(x, t) : a . x <= b t,
+    t >= 0}, integerised row by row, and built up from the whole space (the
+    lines e_0 .. e_dim): equalities first, then the inequalities in order,
+    then t >= 0.  A line the new row does not vanish on is the pivot: the
+    other generators are projected onto the row along it, and for an
+    inequality it turns into a ray.  Otherwise rays on the row are kept,
+    rays strictly inside an inequality are kept, and each adjacent pair on
+    opposite sides is combined into a ray on the row.  Adjacency is decided
+    by zero sets: the rows both rays lie on, which no third ray may also
+    lie on.  Rays are gcd-reduced integer tuples; the vertices are the rays
+    with t > 0.  Nothing is rounded, so nothing needs checking afterwards.
 
-    Floats propose, rationals decide.  The rows are integerised once.  The
-    subsets are walked in chunks of _CHUNK through a batched float
-    determinant and solve (_float_drops), which drops a subset only when an
-    error bound proves it singular or its solution infeasible, so every
-    vertex's subsets survive.  Survivors are solved exactly
-    (solve_square_exact) and accepted only after an exact check of every
-    row.  With coefficients too large for floats to hold exactly, every
-    subset goes to the exact path.
+    Raises UnboundedPolytope for a nonempty polytope with a recession
+    direction (a ray with t = 0 or a line left over).
     """
-    _check_bounded(poly)
-    dim = poly.dim
-    keep = rank_select([c for c, _ in poly.equalities])
-    eqs = [int_scale_row(*poly.equalities[i]) for i in keep]
-    need = dim - len(eqs)
-    if need < 0:
-        raise ValueError("more independent equalities than dimensions")
-    ineqs = [int_scale_row(c, b) for c, b in poly.inequalities]
+    n = poly.dim + 1
+    rows = [(False, *int_scale_row(a, b)) for a, b in poly.equalities]
+    rows += [(True, *int_scale_row(a, b)) for a, b in poly.inequalities]
+    rows.append((True, [0] * poly.dim, 1))           # t >= 0
+    lines = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays = []                                        # (ray, zero set as a bit mask)
+    for k, (inequality, a, b) in enumerate(rows):
+        r = [-v for v in a] + [b]                    # r . (x, t) >= 0, or = 0
 
-    prefilter = all(abs(v) < 2 ** 53 for row, rhs in eqs + ineqs for v in (*row, rhs))
+        def at(y):
+            return sum(c * v for c, v in zip(r, y))
 
-    def as_float(rows):
-        return (np.array([r for r, _ in rows], dtype=float).reshape(len(rows), dim),
-                np.array([b for _, b in rows], dtype=float))
+        cut = next((i for i, line in enumerate(lines) if at(line)), None)
+        if cut is not None:
+            pivot = lines.pop(cut)
+            s = at(pivot)
+            if s < 0:
+                pivot, s = tuple(-v for v in pivot), -s
 
-    eq_a, eq_b = as_float(eqs)
-    a, b = as_float(ineqs)
-    eq_list = [r for r, _ in eqs]
-    eq_rhs = [r for _, r in eqs]
+            def project(y):
+                return _reduced([s * u - at(y) * p for u, p in zip(y, pivot)])
 
-    seen = set()
-    found = []
-    subsets = itertools.combinations(range(len(ineqs)), need)
-    while chunk := list(itertools.islice(subsets, _CHUNK)):
-        combos = np.array(chunk, dtype=np.intp).reshape(len(chunk), need)
-        drop = (_float_drops(eq_a, eq_b, a, b, combos) if prefilter
-                else np.zeros(len(combos), dtype=bool))
-        for combo in combos[~drop].tolist():
-            x = solve_square_exact(eq_list + [ineqs[k][0] for k in combo],
-                                   eq_rhs + [ineqs[k][1] for k in combo])
-            if x is None or x in seen:
+            lines = [project(line) for line in lines]
+            rays = [(project(y), z | 1 << k) for y, z in rays]
+            if inequality:
+                rays.append((pivot, (1 << k) - 1))
+            continue
+        side = [at(y) for y, _ in rays]
+        plus = [i for i, v in enumerate(side) if v > 0]
+        minus = [i for i, v in enumerate(side) if v < 0]
+        kept = [(y, z | 1 << k) for (y, z), v in zip(rays, side) if v == 0]
+        if inequality:
+            kept += [rays[i] for i in plus]
+        least = n - len(lines) - 2                   # fewest rows adjacent rays share
+        for i, j in itertools.product(plus, minus):
+            common = rays[i][1] & rays[j][1]
+            if common.bit_count() < least or any(
+                    h != i and h != j and common & z == common
+                    for h, (_, z) in enumerate(rays)):
                 continue
-            seen.add(x)
-            xs, den = _scaled(x)
-            if all(sum(c * v for c, v in zip(row, xs)) <= rhs * den for row, rhs in ineqs):
-                found.append(x)
-    return sorted(found)
+            y = [side[i] * u - side[j] * v for u, v in zip(rays[j][0], rays[i][0])]
+            kept.append((_reduced(y), common | 1 << k))
+        rays = kept
+    vertices = sorted(tuple(Fraction(v, y[-1]) for v in y[:-1]) for y, _ in rays if y[-1])
+    if vertices and (lines or len(vertices) < len(rays)):
+        raise UnboundedPolytope("the polytope has a recession direction")
+    return vertices
 
 
 # ---------------------------------------------------------------------------

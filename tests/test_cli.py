@@ -192,6 +192,10 @@ class TestDumpPolytope:
         out = capsys.readouterr().out
         assert "# vertices 4" in out
 
+    def test_m3_vertices(self, capsys):
+        assert main(["dump-polytope", "--m", "3", "--delta", "1", "--vertices"]) == 0
+        assert "# vertices 176" in capsys.readouterr().out.splitlines()
+
     def test_committed_dump_files(self):
         h = (DATA / "q_delta1_m2.hrep.txt").read_text()
         v = (DATA / "q_delta1_m2.vrep.txt").read_text()

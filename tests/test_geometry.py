@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from signalcap import boxes, geometry
 from signalcap.geometry import HPolytope, UnboundedPolytope, build_q_delta, enumerate_vertices
@@ -44,19 +45,21 @@ def cramer_vertices(ineqs, dim):
 
 
 def reference_vertices(poly):
-    """The subset-by-subset exact enumerator without the float prefilter:
-    every subset of rows (independent equalities always included) is solved
-    exactly, and each distinct solution is checked against every row."""
+    """Subset-by-subset exact enumeration: every subset of rows (independent
+    equalities always included) is solved exactly, and each distinct
+    solution is checked against every inequality and every equality row."""
     ineqs = [int_scale_row(c, b) for c, b in poly.inequalities]
-    keep = rank_select([c for c, _ in poly.equalities])
-    eqs = [int_scale_row(*poly.equalities[i]) for i in keep]
+    all_eqs = [int_scale_row(c, b) for c, b in poly.equalities]
+    eqs = [all_eqs[i] for i in rank_select([c for c, _ in poly.equalities])]
     verdict = {}
     for combo in itertools.combinations(ineqs, poly.dim - len(eqs)):
         rows = eqs + list(combo)
         x = solve_square_exact([c for c, _ in rows], [b for _, b in rows])
         if x is not None and x not in verdict:
-            verdict[x] = all(sum(c * v for c, v in zip(coeffs, x)) <= b
-                             for coeffs, b in ineqs)
+            verdict[x] = (all(sum(c * v for c, v in zip(coeffs, x)) <= b
+                              for coeffs, b in ineqs)
+                          and all(sum(c * v for c, v in zip(coeffs, x)) == b
+                                  for coeffs, b in all_eqs))
     return sorted(x for x, ok in verdict.items() if ok)
 
 
@@ -201,10 +204,15 @@ class TestEnumerateVertices:
         for v in verts:
             assert sum(v) == 1
 
+    def test_inconsistent_dependent_equalities(self):
+        # x + y = 0 and 2x + 2y = 1 are dependent but contradict each other
+        eqs = (((F(1), F(1)), F(0)), ((F(2), F(2)), F(1)))
+        poly = HPolytope(2, tuple(geometry._bounds_rows(2)), eqs)
+        assert enumerate_vertices(poly) == [] == reference_vertices(poly)
+
     def test_flat_polytopes_keep_their_vertices(self):
-        # each vertex lies on a pair of opposite rows, so the float solution of
-        # either row violates the other by a rounding error: only the residual
-        # band keeps the subsets
+        # each vertex lies on a pair of opposite rows, an equality written as
+        # two inequalities
         third = [((F(3),), F(1)), ((F(-3),), F(-1))]
         poly = HPolytope(1, tuple(third + list(geometry._bounds_rows(1))))
         assert enumerate_vertices(poly) == [(F(1, 3),)]
@@ -213,48 +221,26 @@ class TestEnumerateVertices:
         verts = enumerate_vertices(poly)
         assert len(verts) == 2 and verts == reference_vertices(poly)
 
-    def test_large_coefficients_go_to_the_exact_path(self):
-        # two rows with coefficients near 1e7 meet at (1, -1) with determinant 1:
-        # the float determinant's error bound exceeds 1, so the prefilter cannot
-        # drop the pair and Bareiss decides
+    def test_large_coefficients(self):
+        # two rows with coefficients near 1e7 meet at (1, -1) with determinant
+        # 1; a float determinant cannot tell these pairs apart
         big = 10 ** 7
         near = [((F(big), F(big + 1)), F(-1)), ((F(big - 1), F(big)), F(-1))]
         same = [((F(big), F(big + 1)), F(-1)), ((F(2 * big), F(2 * big + 2)), F(-2))]
         for rows in (near, same):
             poly = HPolytope(2, tuple(rows + list(geometry._bounds_rows(2, -2, 2))))
-            verts = enumerate_vertices(poly)
-            assert verts == reference_vertices(poly)
-            a = np.array([[float(c) for c in coeffs] for coeffs, _ in poly.inequalities])
-            b = np.array([float(r) for _, r in poly.inequalities])
-            drop = geometry._float_drops(np.zeros((0, 2)), np.zeros(0), a, b,
-                                         np.array([[0, 1]]))
-            assert not drop[0]
+            assert enumerate_vertices(poly) == reference_vertices(poly)
         assert (F(1), F(-1)) in enumerate_vertices(
             HPolytope(2, tuple(near + list(geometry._bounds_rows(2, -2, 2)))))
-        # 10^20 + 1 has no exact float: every subset goes to the exact path
+        # 10^20 + 1 has no exact float
         huge = HPolytope(2, (((F(10 ** 20 + 1), F(1)), F(10 ** 19)),)
                          + tuple(geometry._bounds_rows(2)))
         assert enumerate_vertices(huge) == reference_vertices(huge)
         assert len(reference_vertices(huge)) == 4
 
-    def test_prefilter_drops_only_proved_subsets(self):
-        # every subset the prefilter drops is exactly singular or has an
-        # exactly infeasible solution, and it does drop most subsets
-        poly = build_q_delta(2, F(3, 7))
-        rows = [int_scale_row(c, b) for c, b in poly.inequalities]
-        a = np.array([r for r, _ in rows], dtype=float)
-        b = np.array([r for _, r in rows], dtype=float)
-        combos = np.array(list(itertools.combinations(range(len(rows)), poly.dim)))
-        drop = geometry._float_drops(np.zeros((0, poly.dim)), np.zeros(0), a, b, combos)
-        assert drop.sum() > len(combos) // 2
-        for combo in combos[drop].tolist():
-            x = solve_square_exact([rows[k][0] for k in combo], [rows[k][1] for k in combo])
-            assert x is None or any(sum(c * v for c, v in zip(coeffs, x)) > rhs
-                                    for coeffs, rhs in rows)
-
     def test_q_v_vertices(self, monkeypatch):
-        # the 24 vertices of the (c, delta) polytope, with far fewer exact
-        # solves than the C(18, 7) = 31 824 subsets
+        # the 24 vertices of the (c, delta) polytope, with no square solve:
+        # the double description needs none of the C(18, 7) = 31 824 subsets
         with open(Q_V_VERTICES) as fh:
             expected = sorted(tuple(F(t) for t in line.split())
                               for line in fh if line.strip() and not line.startswith("#"))
@@ -267,13 +253,40 @@ class TestEnumerateVertices:
 
         monkeypatch.setattr(geometry, "solve_square_exact", counted)
         assert enumerate_vertices(geometry.build_q_v()) == expected
-        assert len(expected) == 24 and len(solves) < 31824 // 4
+        assert len(expected) == 24 and not solves
 
-    def test_unbounded_raises(self):
-        poly = HPolytope(2, ((tuple([F(1), F(0)]), F(1)),
-                             (tuple([F(0), F(1)]), F(1))))
+    @pytest.mark.parametrize("rows", [
+        [((F(1), F(0)), F(1)), ((F(0), F(1)), F(1))],
+        [((F(1), F(0)), F(1)), ((F(-1), F(0)), F(1))],      # the second coordinate is free
+    ], ids=["orthant", "free-coordinate"])
+    def test_unbounded_raises(self, rows):
         with pytest.raises(UnboundedPolytope):
-            enumerate_vertices(poly)
+            enumerate_vertices(HPolytope(2, tuple(rows)))
+
+    def test_empty_without_bounds(self):
+        # x <= -1 and x >= 1, y free: empty, so there is nothing unbounded
+        poly = HPolytope(2, (((F(1), F(0)), F(-1)), ((F(-1), F(0)), F(-1))))
+        assert enumerate_vertices(poly) == []
+
+    @pytest.mark.parametrize("delta, count",
+                             [(F(0), 112), (F(1, 2), 176), (F(1), 176), (F(2), 16)])
+    def test_m3_slices(self, delta, count):
+        poly = build_q_delta(3, delta)
+        verts = enumerate_vertices(poly)
+        assert len(verts) == count
+        for v in verts:
+            lhs = [sum(c * x for c, x in zip(coeffs, v)) for coeffs, _ in poly.inequalities]
+            assert all(s <= b for s, (_, b) in zip(lhs, poly.inequalities))
+            active = [coeffs for s, (coeffs, b) in zip(lhs, poly.inequalities) if s == b]
+            assert len(rank_select(active)) == 10
+        # HiGHS's optimum of random objectives is attained at a vertex
+        a_ub, b_ub, _, _ = geometry.polytope_float(poly)
+        points = np.array(verts, dtype=float)
+        rng = np.random.default_rng(5)
+        for c in rng.normal(size=(200, poly.dim)):
+            res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+            assert res.status == 0
+            assert abs(res.fun - (points @ c).min()) <= 1e-9
 
 
 class TestQDelta:
