@@ -8,8 +8,10 @@ Library layout:
              families and the minimal-set search
 - channels:  binary asymmetric channels, capacity (closed form and
              iterative), channel families of a box
-- geometry:  exact-rational polytopes, vertex enumeration, LP feasibility,
-             box-preimage characterization checks
+- geometry:  exact-rational polytopes, vertex enumeration, exact LP
+             feasibility, box-preimage characterization checks; the exact
+             work runs on one engine, the integer double description of
+             rational_lp
 - strength:  min-max capacity over violation polytopes, grid oracle,
              optimal family, closed-form bounds, strength curves
 - cli:       the `signalcap` command

@@ -8,7 +8,9 @@ too loose).
 
 Vertex enumeration is integer arithmetic throughout.  Box preimages follow
 "floats propose, rationals decide": HiGHS proposes, and every accept or
-reject is an exact check.
+reject is an exact check.  The one exact engine behind both is the integer
+double description of rational_lp: it lists the vertices, and it decides
+the box LP whenever a HiGHS certificate does not verify.
 """
 
 from __future__ import annotations
@@ -16,15 +18,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 from scipy.optimize import linprog
 
 from . import boxes, monogamy
-# perfbench/tracer.py wraps linprog_exact and lp_feasible here; box_preimage uses lp_feasible
-from .rational_lp import (int_scale_row, linprog_exact, lp_feasible, rank_select,
-                          solve_square_exact)
+# perfbench/tracer.py wraps linprog_exact and lp_feasible here (box_preimage's
+# exact fallback; lp_feasible is linprog_exact with a zero objective)
+from .rational_lp import (double_description, int_scale_row, linprog_exact, lp_feasible,
+                          rank_select, solve_square_exact)
 
 
 class UnboundedPolytope(Exception):
@@ -108,75 +111,18 @@ def _scaled(x):
     return [v.numerator * (den // v.denominator) for v in x], den
 
 
-def _reduced(y):
-    """A nonzero integer vector divided by the gcd of its entries, as a tuple."""
-    g = gcd(*y)
-    return tuple(v // g for v in y)
-
-
 def enumerate_vertices(poly: HPolytope) -> list:
     """All vertices of a bounded H-polytope, exactly.
 
-    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) in
-    integers.  The polytope is homogenised to the cone {(x, t) : a . x <= b t,
-    t >= 0}, integerised row by row, and built up from the whole space (the
-    lines e_0 .. e_dim): equalities first, then the inequalities in order,
-    then t >= 0.  A line the new row does not vanish on is the pivot: the
-    other generators are projected onto the row along it, and for an
-    inequality it turns into a ray.  Otherwise rays on the row are kept,
-    rays strictly inside an inequality are kept, and each adjacent pair on
-    opposite sides is combined into a ray on the row.  Adjacency is decided
-    by zero sets: the rows both rays lie on, which no third ray may also
-    lie on.  Rays are gcd-reduced integer tuples; the vertices are the rays
-    with t > 0.  Nothing is rounded, so nothing needs checking afterwards.
+    The vertices are the rays with t > 0 of the polytope's homogenised cone
+    {(x, t) : a . x <= b t, t >= 0}, from rational_lp.double_description in
+    integers.  Nothing is rounded, so nothing needs checking afterwards.
 
     Raises UnboundedPolytope for a nonempty polytope with a recession
     direction (a ray with t = 0 or a line left over).
     """
-    n = poly.dim + 1
-    rows = [(False, *int_scale_row(a, b)) for a, b in poly.equalities]
-    rows += [(True, *int_scale_row(a, b)) for a, b in poly.inequalities]
-    rows.append((True, [0] * poly.dim, 1))           # t >= 0
-    lines = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    rays = []                                        # (ray, zero set as a bit mask)
-    for k, (inequality, a, b) in enumerate(rows):
-        r = [-v for v in a] + [b]                    # r . (x, t) >= 0, or = 0
-
-        def at(y):
-            return sum(c * v for c, v in zip(r, y))
-
-        cut = next((i for i, line in enumerate(lines) if at(line)), None)
-        if cut is not None:
-            pivot = lines.pop(cut)
-            s = at(pivot)
-            if s < 0:
-                pivot, s = tuple(-v for v in pivot), -s
-
-            def project(y):
-                return _reduced([s * u - at(y) * p for u, p in zip(y, pivot)])
-
-            lines = [project(line) for line in lines]
-            rays = [(project(y), z | 1 << k) for y, z in rays]
-            if inequality:
-                rays.append((pivot, (1 << k) - 1))
-            continue
-        side = [at(y) for y, _ in rays]
-        plus = [i for i, v in enumerate(side) if v > 0]
-        minus = [i for i, v in enumerate(side) if v < 0]
-        kept = [(y, z | 1 << k) for (y, z), v in zip(rays, side) if v == 0]
-        if inequality:
-            kept += [rays[i] for i in plus]
-        least = n - len(lines) - 2                   # fewest rows adjacent rays share
-        for i, j in itertools.product(plus, minus):
-            common = rays[i][1] & rays[j][1]
-            if common.bit_count() < least or any(
-                    h != i and h != j and common & z == common
-                    for h, (_, z) in enumerate(rays)):
-                continue
-            y = [side[i] * u - side[j] * v for u, v in zip(rays[j][0], rays[i][0])]
-            kept.append((_reduced(y), common | 1 << k))
-        rays = kept
-    vertices = sorted(tuple(Fraction(v, y[-1]) for v in y[:-1]) for y, _ in rays if y[-1])
+    rays, lines = double_description(poly.dim, poly.equalities, poly.inequalities)
+    vertices = sorted(tuple(Fraction(v, y[-1]) for v in y[:-1]) for y in rays if y[-1])
     if vertices and (lines or len(vertices) < len(rays)):
         raise UnboundedPolytope("the polytope has a recession direction")
     return vertices
@@ -331,8 +277,9 @@ def box_preimage(c6, delta):
     holds exactly.  Infeasible: a second HiGHS LP proposes a Farkas vector,
     accepted only if it verifies exactly (_farkas_certified).  Either verdict
     is thus proved, whatever HiGHS's tolerances.  When a certificate does not
-    verify, the Bland-rule rational simplex (lp_feasible) decides, over the
-    box polytope shifted to nonnegative variables.
+    verify, the exact LP (lp_feasible, over the double description) decides
+    on the equality and positivity rows; the positivity rows imply the
+    [-1, 1] bounds.
     """
     c6 = [_rationalize(v) for v in c6]
     d = _rationalize(delta)
@@ -340,27 +287,8 @@ def box_preimage(c6, delta):
     verdict = _highs_preimage(eq_rhs)
     if verdict is not None:
         return verdict
-
-    eqs = list(box_polytope_equalities())
-    for pos, val in zip(PHI_INDICES, c6):
-        row = [Fraction(0)] * 12
-        row[pos] = Fraction(1)
-        eqs.append((tuple(row), val))
-    eqs.append((M_ROW, Fraction(4) + d))
-    ineqs = box_polytope_inequalities()
-
-    # shift x = y - 1 so variables are nonnegative (all correlators lie in [-1, 1])
-    def shift(rows):
-        out = []
-        for coeffs, b in rows:
-            out.append((coeffs, b + sum(coeffs)))
-        return out
-
-    res = lp_feasible(shift(eqs), shift(ineqs), dim=12, nonneg=True)
-    if not res.feasible:
-        return False, None
-    witness = tuple(v - 1 for v in res.witness)
-    return True, witness
+    res = lp_feasible(list(zip(_EQ_ROWS, eq_rhs)), _POS_ROWS, dim=12)
+    return res.feasible, res.witness
 
 
 @dataclass

@@ -1,13 +1,15 @@
 """Exact linear algebra and linear programming over the rationals.
 
 Fraction-free (Bareiss) square solves and rank selection on integerised
-rows, and a dense simplex with Bland's rule on Fraction tableaus: no
-tolerances, every answer is exact.  Sized for the small systems that show
-up here (a dozen variables, a few dozen constraints).
+rows, and an integer double description of polyhedra, which also decides
+linear programs: no tolerances, every answer is exact.  Sized for the
+small systems that show up here (a dozen variables, a few dozen
+constraints).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -86,8 +88,81 @@ def rank_select(rows):
     return selected
 
 
+def _reduced(y):
+    """A nonzero integer vector divided by the gcd of its entries, as a tuple."""
+    g = gcd(*y)
+    return tuple(v // g for v in y)
+
+
+def double_description(dim, equalities=(), inequalities=()):
+    """Generators of the cone {(x, t) : a . x <= b t, e . x = f t, t >= 0}.
+
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996) in
+    integers.  The rational rows (a, b) and (e, f) are integerised row by
+    row, and the cone is built up from the whole space (the lines e_0 ..
+    e_dim): equalities first, then the inequalities in order, then t >= 0.
+    A line the new row does not vanish on is the pivot: the other
+    generators are projected onto the row along it, and for an inequality
+    it turns into a ray.  Otherwise rays on the row are kept, rays strictly
+    inside an inequality are kept, and each adjacent pair on opposite sides
+    is combined into a ray on the row.  Adjacency is decided by zero sets:
+    the rows both rays lie on, which no third ray may also lie on.  Nothing
+    is rounded, so nothing needs checking afterwards.
+
+    Returns (rays, lines): the cone is every nonnegative combination of the
+    rays plus every combination of the lines, each a gcd-reduced integer
+    tuple (x, t).  Leftover lines have t = 0.  The polyhedron is the convex
+    hull of the rays with t > 0, scaled to t = 1, plus the cone of its
+    recession directions: the rays with t = 0 and the lines.
+    """
+    n = dim + 1
+    rows = [(False, *int_scale_row(a, b)) for a, b in equalities]
+    rows += [(True, *int_scale_row(a, b)) for a, b in inequalities]
+    rows.append((True, [0] * dim, 1))                # t >= 0
+    lines = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays = []                                        # (ray, zero set as a bit mask)
+    for k, (inequality, a, b) in enumerate(rows):
+        r = [-v for v in a] + [b]                    # r . (x, t) >= 0, or = 0
+
+        def at(y):
+            return sum(c * v for c, v in zip(r, y))
+
+        cut = next((i for i, line in enumerate(lines) if at(line)), None)
+        if cut is not None:
+            pivot = lines.pop(cut)
+            s = at(pivot)
+            if s < 0:
+                pivot, s = tuple(-v for v in pivot), -s
+
+            def project(y):
+                return _reduced([s * u - at(y) * p for u, p in zip(y, pivot)])
+
+            lines = [project(line) for line in lines]
+            rays = [(project(y), z | 1 << k) for y, z in rays]
+            if inequality:
+                rays.append((pivot, (1 << k) - 1))
+            continue
+        side = [at(y) for y, _ in rays]
+        plus = [i for i, v in enumerate(side) if v > 0]
+        minus = [i for i, v in enumerate(side) if v < 0]
+        kept = [(y, z | 1 << k) for (y, z), v in zip(rays, side) if v == 0]
+        if inequality:
+            kept += [rays[i] for i in plus]
+        least = n - len(lines) - 2                   # fewest rows adjacent rays share
+        for i, j in itertools.product(plus, minus):
+            common = rays[i][1] & rays[j][1]
+            if common.bit_count() < least or any(
+                    h != i and h != j and common & z == common
+                    for h, (_, z) in enumerate(rays)):
+                continue
+            y = [side[i] * u - side[j] * v for u, v in zip(rays[j][0], rays[i][0])]
+            kept.append((_reduced(y), common | 1 << k))
+        rays = kept
+    return [y for y, _ in rays], lines
+
+
 # ---------------------------------------------------------------------------
-# simplex
+# linear programs over the double description
 
 @dataclass
 class LPResult:
@@ -96,177 +171,33 @@ class LPResult:
     value: "Fraction | None"
 
 
-class _Tableau:
-    def __init__(self, rows, rhs, basis):
-        self.rows = rows          # list of lists of Fraction
-        self.rhs = rhs            # list of Fraction, >= 0
-        self.basis = basis        # basic column per row
-
-    def pivot(self, r, col):
-        piv = self.rows[r][col]
-        inv = 1 / piv
-        self.rows[r] = [v * inv for v in self.rows[r]]
-        self.rhs[r] *= inv
-        row_r = self.rows[r]
-        rhs_r = self.rhs[r]
-        for i in range(len(self.rows)):
-            if i == r:
-                continue
-            f = self.rows[i][col]
-            if f:
-                self.rows[i] = [a - f * b for a, b in zip(self.rows[i], row_r)]
-                self.rhs[i] -= f * rhs_r
-        self.basis[r] = col
-
-    def reduced_costs(self, cost):
-        ncols = len(self.rows[0])
-        red = list(cost)
-        value = Fraction(0)
-        for r, b in enumerate(self.basis):
-            cb = cost[b]
-            if cb:
-                value += cb * self.rhs[r]
-                row = self.rows[r]
-                for j in range(ncols):
-                    if row[j]:
-                        red[j] -= cb * row[j]
-        return red, value
-
-    def run(self, cost):
-        """Minimize cost over the tableau with Bland's rule; returns status."""
-        while True:
-            red, _ = self.reduced_costs(cost)
-            enter = next((j for j, rc in enumerate(red) if rc < 0), None)
-            if enter is None:
-                return "optimal"
-            leave = None
-            best = None
-            for r in range(len(self.rows)):
-                a = self.rows[r][enter]
-                if a > 0:
-                    ratio = self.rhs[r] / a
-                    if best is None or ratio < best or \
-                       (ratio == best and self.basis[r] < self.basis[leave]):
-                        best, leave = ratio, r
-            if leave is None:
-                return "unbounded"
-            self.pivot(leave, enter)
-
-
 def linprog_exact(c, A_ub=(), b_ub=(), A_eq=(), b_eq=(), nonneg=False) -> LPResult:
     """Minimize c . x subject to A_ub x <= b_ub and A_eq x = b_eq, exactly.
 
-    Variables are free unless nonneg is set (then x >= 0 and no variable
-    split is performed).  Bland's rule guarantees termination.
+    Variables are free unless nonneg is set (then x >= 0).  The feasible
+    set is read off its double description: empty when no ray has t > 0,
+    unbounded below when c falls along a ray with t = 0 or is not constant
+    along a line, and otherwise minimized at a ray with t > 0 (the first in
+    generator order on a tie).
     """
     n = len(c)
-    c = [Fraction(v) for v in c]
-    ub = [([Fraction(v) for v in row], Fraction(b)) for row, b in zip(A_ub, b_ub)]
-    eq = [([Fraction(v) for v in row], Fraction(b)) for row, b in zip(A_eq, b_eq)]
-
-    width = n if nonneg else 2 * n
-    nslack = len(ub)
-
-    def expand(row):
-        if nonneg:
-            return list(row)
-        out = []
-        for v in row:
-            out += [v, -v]
-        return out
-
-    rows, rhs, kinds = [], [], []
-    for row, b in ub:
-        rows.append(expand(row))
-        rhs.append(b)
-        kinds.append("ub")
-    for row, b in eq:
-        rows.append(expand(row))
-        rhs.append(b)
-        kinds.append("eq")
-
-    m = len(rows)
-    slack_col = {}
-    for i in range(m):
-        rows[i] = rows[i] + [Fraction(0)] * nslack
-    si = 0
-    for i, kind in enumerate(kinds):
-        if kind == "ub":
-            rows[i][width + si] = Fraction(1)
-            slack_col[i] = width + si
-            si += 1
-    # normalize rhs >= 0
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-            if i in slack_col:
-                del slack_col[i]   # slack coefficient is now -1, unusable as basis
-
-    # artificials wherever no slack can start basic
-    basis = [None] * m
-    art_cols = []
-    ncols = width + nslack
-    for i in range(m):
-        if i in slack_col:
-            basis[i] = slack_col[i]
-    for i in range(m):
-        if basis[i] is None:
-            for r in range(m):
-                rows[r].append(Fraction(1) if r == i else Fraction(0))
-            basis[i] = ncols
-            art_cols.append(ncols)
-            ncols += 1
-
-    tab = _Tableau(rows, rhs, basis)
-
-    if art_cols:
-        phase1 = [Fraction(0)] * ncols
-        for j in art_cols:
-            phase1[j] = Fraction(1)
-        # start from a canonical tableau for the artificial basis
-        tab.run(phase1)
-        _, value = tab.reduced_costs(phase1)
-        if value > 0:
-            return LPResult("infeasible", None, None)
-        # drive any leftover zero-valued artificials out of the basis
-        art_set = set(art_cols)
-        drop_rows = []
-        for r in range(m):
-            if tab.basis[r] in art_set:
-                col = next((j for j in range(width + nslack)
-                            if tab.rows[r][j] != 0), None)
-                if col is None:
-                    drop_rows.append(r)
-                else:
-                    tab.pivot(r, col)
-        for r in sorted(drop_rows, reverse=True):
-            del tab.rows[r], tab.rhs[r], tab.basis[r]
-        # freeze artificials at zero
-        for row in tab.rows:
-            for j in art_set:
-                row[j] = Fraction(0)
-
-    cost = [Fraction(0)] * ncols
-    for j in range(n):
-        if nonneg:
-            cost[j] = c[j]
-        else:
-            cost[2 * j] = c[j]
-            cost[2 * j + 1] = -c[j]
-    status = tab.run(cost)
-    if status == "unbounded":
-        return LPResult("unbounded", None, None)
-
-    full = [Fraction(0)] * ncols
-    for r, b in enumerate(tab.basis):
-        full[b] = tab.rhs[r]
+    ubs = list(zip(A_ub, b_ub))
     if nonneg:
-        x = tuple(full[j] for j in range(n))
-    else:
-        x = tuple(full[2 * j] - full[2 * j + 1] for j in range(n))
-    _, value = tab.reduced_costs(cost)
-    return LPResult("optimal", x, value)
+        ubs += [([-int(i == j) for j in range(n)], 0) for i in range(n)]
+    rays, lines = double_description(n, zip(A_eq, b_eq), ubs)
+    cost, _ = int_scale_row(c, 0)
+
+    def at(y):
+        return sum(a * v for a, v in zip(cost, y))
+
+    points = [y for y in rays if y[-1]]
+    if not points:
+        return LPResult("infeasible", None, None)
+    if any(at(y) < 0 for y in rays if not y[-1]) or any(at(line) for line in lines):
+        return LPResult("unbounded", None, None)
+    best = min(points, key=lambda y: Fraction(at(y), y[-1]))
+    x = tuple(Fraction(v, best[-1]) for v in best[:-1])
+    return LPResult("optimal", x, sum(Fraction(a) * v for a, v in zip(c, x)))
 
 
 @dataclass
@@ -277,12 +208,13 @@ class LPFeasibility:
 
 def lp_feasible(equalities=(), inequalities=(), dim=None, nonneg=False) -> LPFeasibility:
     """Rational feasible point for A_eq x = b_eq, A_ub x <= b_ub, or a
-    verified infeasibility flag (phase-1 simplex optimum stays positive)."""
+    verified infeasibility flag (no point in the double description)."""
     eqs = list(equalities)
     ubs = list(inequalities)
     if dim is None:
-        sample = (eqs + ubs)[0][0]
-        dim = len(sample)
+        if not eqs + ubs:
+            raise ValueError("dim is required when there are no rows")
+        dim = len((eqs + ubs)[0][0])
     res = linprog_exact([Fraction(0)] * dim,
                         A_ub=[r for r, _ in ubs], b_ub=[b for _, b in ubs],
                         A_eq=[r for r, _ in eqs], b_eq=[b for _, b in eqs],

@@ -112,8 +112,16 @@ class TestExactLP:
         res = linprog_exact([F(-1)], A_ub=[( F(-1),)], b_ub=[F(0)])
         assert res.status == "unbounded"
 
-    def test_degenerate_cycling_guard(self):
-        # classic degenerate vertex; Bland's rule must terminate
+    def test_no_rows_left(self):
+        # no constraint, or only 0 = 0: every point is feasible
+        assert linprog_exact([F(1)]).status == "unbounded"
+        res = lp_feasible(equalities=[((F(0),), F(0))])
+        assert res.feasible and res.witness == (0,)
+        with pytest.raises(ValueError, match="dim is required"):
+            lp_feasible()
+
+    def test_degenerate_vertex(self):
+        # classic degenerate vertex (Beale's cycling example)
         res = linprog_exact([F(-3, 4), F(150), F(-1, 50), F(6)],
                             A_ub=[(F(1, 4), F(-60), F(-1, 25), F(9)),
                                   (F(1, 2), F(-90), F(-1, 50), F(3)),
@@ -122,6 +130,49 @@ class TestExactLP:
                             nonneg=True)
         assert res.status == "optimal"
         assert res.value == F(-1, 20)
+
+    def test_matches_highs_on_random_lps(self):
+        # HiGHS is the independent oracle.  Verdicts are compared, not raw
+        # statuses: HiGHS's presolve may call an unbounded LP infeasible.
+        rng = np.random.default_rng(1)
+
+        def row(n):
+            return [F(int(k), 3) for k in rng.integers(-6, 7, n)]
+
+        def floats(rows):
+            return np.array([[float(v) for v in r] for r in rows]) if rows else None
+
+        statuses = []
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            c = row(n)
+            ub = [(row(n), F(int(rng.integers(-6, 7)), 3)) for _ in range(rng.integers(0, 6))]
+            eq = [(row(n), F(int(rng.integers(-6, 7)), 3)) for _ in range(rng.integers(0, 2))]
+            nonneg = bool(rng.integers(2))
+            res = linprog_exact(c, A_ub=[r for r, _ in ub], b_ub=[b for _, b in ub],
+                                A_eq=[r for r, _ in eq], b_eq=[b for _, b in eq],
+                                nonneg=nonneg)
+            statuses.append(res.status)
+
+            def highs(cost):
+                return linprog(cost, A_ub=floats([r for r, _ in ub]),
+                               b_ub=[float(b) for _, b in ub] or None,
+                               A_eq=floats([r for r, _ in eq]),
+                               b_eq=[float(b) for _, b in eq] or None,
+                               bounds=(0, None) if nonneg else (None, None), method="highs")
+
+            assert (highs(np.zeros(n)).status == 0) == (res.status != "infeasible")
+            if res.status == "optimal":
+                x = res.x
+                assert all(sum(a * v for a, v in zip(r, x)) <= b for r, b in ub)
+                assert all(sum(a * v for a, v in zip(r, x)) == b for r, b in eq)
+                assert not nonneg or min(x) >= 0
+                assert res.value == sum(a * v for a, v in zip(c, x))
+                opt = highs([float(v) for v in c])
+                assert opt.status == 0 and abs(opt.fun - float(res.value)) < 1e-9
+            elif res.status == "unbounded":
+                assert highs([float(v) for v in c]).status != 0
+        assert set(statuses) == {"optimal", "infeasible", "unbounded"}
 
     def test_solve_square_exact(self):
         rows = [[F(2), F(1)], [F(1), F(-1)]]
@@ -463,7 +514,11 @@ class TestPreimageCertificates:
         monkeypatch.setattr(geometry, "lp_feasible", counted)
         return calls
 
-    def test_vertices_found_without_fallback(self, fallback_calls):
+    @pytest.mark.parametrize("mode", ["highs", "forced"])
+    def test_vertices_found_without_fallback(self, mode, fallback_calls, monkeypatch):
+        # forced: HiGHS certifies nothing, so the exact LP decides every query
+        if mode == "forced":
+            monkeypatch.setattr(geometry, "_highs_preimage", lambda eq_rhs: None)
         points = [(v[:6], v[6]) for v in enumerate_vertices(geometry.build_q_v())]
         points += [(v, F(1, 2)) for v in enumerate_vertices(build_q_delta(2, F(1, 2)))]
         assert len(points) == 24 + 28
@@ -471,7 +526,10 @@ class TestPreimageCertificates:
             found, witness = geometry.box_preimage(c6, delta)
             assert found
             assert_exact_box(witness, c6, delta)
-        assert not fallback_calls
+        q2 = build_q_delta(2, 2)
+        dropped = enumerate_vertices(HPolytope(6, q2.inequalities[1:]))
+        assert sum(not geometry.box_preimage(v, 2)[0] for v in dropped) == 1
+        assert len(fallback_calls) == (0 if mode == "highs" else len(points) + len(dropped))
 
     def test_missing_vertex_rejected_by_farkas_vector(self, fallback_calls, monkeypatch):
         verdicts = []
