@@ -25,7 +25,7 @@ for d in (0, 1, 2):
     print(f"  delta={d}: {n} vertices")
 print()
 
-print("== tightness check (takes a few seconds) ==")
+print("== tightness check ==")
 rep = geometry.verify_characterization()
 print(f"vertices of the (c, delta) polytope: {rep.vertex_count}")
 print(f"slice counts: {rep.slice_counts}")

@@ -286,6 +286,8 @@ def correlator_layout(m: int, relaxed: bool = False) -> tuple:
     y_B^0 = <A_0 E>_{B_{m-1}}.  In relaxed mode the pair
     (x_A^0, y_A^0) = (<B_0 E>_{A_0}, <B_0 E>_{A_1}) is carried as well.
     """
+    if m < 2:
+        raise ValueError(f"need m >= 2, got {m}")
     if relaxed and m != 2:
         raise ValueError("relaxed mode is defined for m = 2 only")
     layout = []

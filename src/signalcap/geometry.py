@@ -6,11 +6,9 @@ description, and the consistency check that every inequality-polytope
 vertex is realized by an actual box (so the inequality description is not
 too loose).
 
-Vertex enumeration is integer arithmetic throughout.  Box preimages follow
-"floats propose, rationals decide": HiGHS proposes, and every accept or
-reject is an exact check.  The one exact engine behind both is the integer
-double description of rational_lp: it lists the vertices, and it decides
-the box LP whenever a HiGHS certificate does not verify.
+Vertex enumeration and box preimages are integer arithmetic throughout.
+The one exact engine behind both is the integer double description of
+rational_lp: it lists the vertices, and it decides every box LP.
 """
 
 from __future__ import annotations
@@ -18,14 +16,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import boxes, monogamy
-# perfbench/tracer.py wraps linprog_exact and lp_feasible here (box_preimage's
-# exact fallback; lp_feasible is linprog_exact with a zero objective)
+# lp_feasible decides box_preimage.  linprog_exact, rank_select and
+# solve_square_exact are imported only so that perfbench/tracer.py can wrap
+# all four here.
 from .rational_lp import (double_description, int_scale_row, linprog_exact, lp_feasible,
                           rank_select, solve_square_exact)
 
@@ -71,9 +68,9 @@ def build_q_delta(m: int, delta, relaxed: bool = False) -> HPolytope:
     per coordinate.  In relaxed mode (m = 2) the two extra coordinates
     (x_A^0, y_A^0) join with box bounds only.
     """
-    d = _rationalize(delta)
-    if not 0 <= d <= 2:
+    if not 0 <= delta <= 2:     # before _rationalize, which fails on inf and nan
         raise ValueError(f"delta must lie in [0, 2], got {delta}")
+    d = _rationalize(delta)
     dim = len(boxes.correlator_layout(m, relaxed))
     rows = []
     for summed in monogamy.all_summed_constraints(m):
@@ -104,12 +101,6 @@ def build_q_v() -> HPolytope:
 
 # ---------------------------------------------------------------------------
 # vertex enumeration
-
-def _scaled(x):
-    """A rational vector as (integer numerators, common denominator)."""
-    den = lcm(*(v.denominator for v in x))
-    return [v.numerator * (den // v.denominator) for v in x], den
-
 
 def enumerate_vertices(poly: HPolytope) -> list:
     """All vertices of a bounded H-polytope, exactly.
@@ -187,80 +178,12 @@ def monogamy_functional(p12):
     return sum(c * v for c, v in zip(M_ROW, p12))
 
 
-# The box LP of box_preimage in integers and floats.  Only the right-hand
-# sides of the equalities depend on the query: (0, c6, 4 + delta).
+# The box LP of box_preimage in integers.  Only the right-hand sides of the
+# equalities depend on the query: (0, c6, 4 + delta).
 _EQ_ROWS = [int_scale_row(c, 0)[0] for c, _ in box_polytope_equalities()]
 _EQ_ROWS += [[int(k == pos) for k in range(12)] for pos in PHI_INDICES]
 _EQ_ROWS.append(int_scale_row(M_ROW, 0)[0])
 _POS_ROWS = [int_scale_row(c, b) for c, b in box_polytope_inequalities()]
-_BOUND_ROWS = [int_scale_row(c, b) for c, b in _bounds_rows(12)]
-_EQ_A = np.array(_EQ_ROWS, dtype=float)
-_POS_A = np.array([r for r, _ in _POS_ROWS], dtype=float)
-_UB_A = np.array([r for r, _ in _POS_ROWS + _BOUND_ROWS], dtype=float)
-_UB_B = np.array([b for _, b in _POS_ROWS + _BOUND_ROWS], dtype=float)
-# rows within this slack of HiGHS's point are taken as active (HiGHS's own
-# feasibility tolerance is 1e-7); a wrong pick only fails the exact check
-_ACTIVE_SLACK = 1e-6
-
-
-def _exact_box(x_float, eq_rhs):
-    """The exact vertex behind HiGHS's point, or None unless it satisfies
-    every equality, positivity and bound row exactly."""
-    slack = _UB_B - _UB_A @ x_float
-    near = np.flatnonzero(slack < _ACTIVE_SLACK)
-    ub_rows = _POS_ROWS + _BOUND_ROWS
-    cand = list(zip(_EQ_ROWS, eq_rhs)) + [ub_rows[i] for i in near[np.argsort(slack[near])]]
-    keep = rank_select([row for row, _ in cand])
-    if len(keep) < 12:
-        return None
-    x = solve_square_exact([cand[i][0] for i in keep], [cand[i][1] for i in keep])
-    if x is None:
-        return None
-    xs, den = _scaled(x)
-    if all(sum(c * v for c, v in zip(row, xs)) == rhs * den
-           for row, rhs in zip(_EQ_ROWS, eq_rhs)) and \
-       all(sum(c * v for c, v in zip(row, xs)) <= rhs * den for row, rhs in ub_rows):
-        return x
-    return None
-
-
-def _farkas_certified(eq_rhs) -> bool:
-    """Whether a Farkas vector proposed by HiGHS proves the box LP infeasible.
-
-    y = (y_eq, y_pos) with y_pos >= 0, A^T y = 0 and b^T y < 0 rules out
-    every x with A_eq x = b_eq, A_pos x <= b_pos: such an x would give
-    0 = y^T A x <= b^T y < 0.  HiGHS minimizes b^T y over |y| <= 1; the
-    rationalised y must pass all three conditions exactly.  The bound rows
-    are left out: the positivity rows imply them.
-    """
-    b = np.concatenate([[float(v) for v in eq_rhs], np.ones(len(_POS_ROWS))])
-    res = linprog(b, A_eq=np.vstack([_EQ_A, _POS_A]).T, b_eq=np.zeros(12),
-                  bounds=[(-1, 1)] * len(_EQ_ROWS) + [(0, 1)] * len(_POS_ROWS),
-                  method="highs")
-    if res.status != 0 or not res.fun < 0:
-        return False
-    y = [Fraction(v).limit_denominator(10 ** 6) for v in res.x]
-    if any(v < 0 for v in y[len(_EQ_ROWS):]):
-        return False
-    ys, _ = _scaled(y)
-    rows = _EQ_ROWS + [r for r, _ in _POS_ROWS]
-    if any(sum(w * row[j] for w, row in zip(ys, rows)) for j in range(12)):
-        return False
-    rhs = list(eq_rhs) + [r for _, r in _POS_ROWS]
-    return sum(w * r for w, r in zip(ys, rhs)) < 0
-
-
-def _highs_preimage(eq_rhs):
-    """(found, witness) from HiGHS once certified exactly, else None."""
-    res = linprog(np.zeros(12), A_ub=_POS_A, b_ub=np.ones(len(_POS_ROWS)), A_eq=_EQ_A,
-                  b_eq=[float(v) for v in eq_rhs], bounds=(-1, 1), method="highs")
-    if res.status == 0:
-        x = _exact_box(res.x, eq_rhs)
-        if x is not None:
-            return True, x
-    elif res.status == 2 and _farkas_certified(eq_rhs):
-        return False, None
-    return None
 
 
 def box_preimage(c6, delta):
@@ -268,25 +191,17 @@ def box_preimage(c6, delta):
 
     Returns (found, witness) where the witness is the twelve-correlator
     vector: 32 positivity rows, equal <B_0 E> conditionals, phi = c6 and
-    monogamy value 4 + delta, all exactly.
+    monogamy value 4 + delta, all exactly; (False, None) when no box has
+    them.
 
-    Floats propose, rationals decide.  HiGHS solves the feasibility LP.
-    Feasible: the rows active at its point are picked independent in
-    rationals (rank_select), solved exactly (solve_square_exact), and the
-    solution is returned only if every equality, positivity and bound row
-    holds exactly.  Infeasible: a second HiGHS LP proposes a Farkas vector,
-    accepted only if it verifies exactly (_farkas_certified).  Either verdict
-    is thus proved, whatever HiGHS's tolerances.  When a certificate does not
-    verify, the exact LP (lp_feasible, over the double description) decides
-    on the equality and positivity rows; the positivity rows imply the
-    [-1, 1] bounds.
+    The exact LP (lp_feasible, over the integer double description of
+    rational_lp) decides on the equality and positivity rows; the
+    positivity rows imply the [-1, 1] bounds.  Nothing is rounded, so
+    either verdict is exact.
     """
     c6 = [_rationalize(v) for v in c6]
     d = _rationalize(delta)
     eq_rhs = [Fraction(0), *c6, Fraction(4) + d]
-    verdict = _highs_preimage(eq_rhs)
-    if verdict is not None:
-        return verdict
     res = lp_feasible(list(zip(_EQ_ROWS, eq_rhs)), _POS_ROWS, dim=12)
     return res.feasible, res.witness
 

@@ -206,7 +206,7 @@ class LPFeasibility:
     witness: "tuple | None"
 
 
-def lp_feasible(equalities=(), inequalities=(), dim=None, nonneg=False) -> LPFeasibility:
+def lp_feasible(equalities=(), inequalities=(), dim=None) -> LPFeasibility:
     """Rational feasible point for A_eq x = b_eq, A_ub x <= b_ub, or a
     verified infeasibility flag (no point in the double description)."""
     eqs = list(equalities)
@@ -217,8 +217,7 @@ def lp_feasible(equalities=(), inequalities=(), dim=None, nonneg=False) -> LPFea
         dim = len((eqs + ubs)[0][0])
     res = linprog_exact([Fraction(0)] * dim,
                         A_ub=[r for r, _ in ubs], b_ub=[b for _, b in ubs],
-                        A_eq=[r for r, _ in eqs], b_eq=[b for _, b in eqs],
-                        nonneg=nonneg)
+                        A_eq=[r for r, _ in eqs], b_eq=[b for _, b in eqs])
     if res.status == "optimal":
         return LPFeasibility(True, res.x)
     return LPFeasibility(False, None)

@@ -298,6 +298,13 @@ class TestCorrelatorVector:
             with pytest.raises(ValueError, match=msg):
                 call()
 
+    @pytest.mark.parametrize("m", [1, 0, -1])
+    def test_layout_needs_m2_or_more(self, m):
+        # m = 0 once read y_B^0 off ae[0, -1]; m = 1 gave a two-entry layout
+        for relaxed in (False, True):
+            with pytest.raises(ValueError, match=rf"need m >= 2, got {m}$"):
+                boxes.correlator_layout(m, relaxed)
+
 
 class TestJsonFormat:
     def test_roundtrip(self, tmp_path):

@@ -92,6 +92,11 @@ class TestCurve:
     def test_bad_step_exits_2(self, capsys):
         assert main(["curve", "--m", "2", "--step", "3.0"]) == 2
 
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_m_below_2_exits_2(self, m, capsys):
+        assert main(["curve", "--m", m]) == 2
+        assert capsys.readouterr().err == f"error: need m >= 2, got {m}\n"
+
     def test_grid_past_two_names_the_delta(self, capsys):
         # the step-0.3 grid reaches delta = 2.1; the error line names it
         assert main(["curve", "--m", "2", "--step", "0.3"]) == 2
@@ -204,6 +209,16 @@ class TestDumpPolytope:
 
     def test_bad_delta_exits_2(self, capsys):
         assert main(["dump-polytope", "--m", "2", "--delta", "9"]) == 2
+
+    @pytest.mark.parametrize("delta, shown", [("inf", "inf"), ("-inf", "-inf"),
+                                              ("1e400", "inf"), ("nan", "nan")])
+    def test_non_finite_delta_exits_2(self, delta, shown, capsys):
+        assert main(["dump-polytope", "--m", "2", f"--delta={delta}"]) == 2
+        assert capsys.readouterr().err == f"error: delta must lie in [0, 2], got {shown}\n"
+
+    def test_m_below_2_exits_2(self, capsys):
+        assert main(["dump-polytope", "--m", "0", "--delta", "1"]) == 2
+        assert capsys.readouterr().err == "error: need m >= 2, got 0\n"
 
 
 class TestConfigFile:

@@ -1,13 +1,12 @@
 import itertools
 import pathlib
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from signalcap import boxes, geometry
+from signalcap import boxes, geometry, monogamy
 from signalcap.geometry import HPolytope, UnboundedPolytope, build_q_delta, enumerate_vertices
 from signalcap.rational_lp import (int_scale_row, linprog_exact, lp_feasible, rank_select,
                                    solve_square_exact)
@@ -501,24 +500,8 @@ def assert_exact_box(witness, c6, delta):
     assert geometry.monogamy_functional(witness) == 4 + delta
 
 
-class TestPreimageCertificates:
-    @pytest.fixture
-    def fallback_calls(self, monkeypatch):
-        calls = []
-        real = geometry.lp_feasible
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(geometry, "lp_feasible", counted)
-        return calls
-
-    @pytest.mark.parametrize("mode", ["highs", "forced"])
-    def test_vertices_found_without_fallback(self, mode, fallback_calls, monkeypatch):
-        # forced: HiGHS certifies nothing, so the exact LP decides every query
-        if mode == "forced":
-            monkeypatch.setattr(geometry, "_highs_preimage", lambda eq_rhs: None)
+class TestPreimageExact:
+    def test_vertices_found(self):
         points = [(v[:6], v[6]) for v in enumerate_vertices(geometry.build_q_v())]
         points += [(v, F(1, 2)) for v in enumerate_vertices(build_q_delta(2, F(1, 2)))]
         assert len(points) == 24 + 28
@@ -528,87 +511,32 @@ class TestPreimageCertificates:
             assert_exact_box(witness, c6, delta)
         q2 = build_q_delta(2, 2)
         dropped = enumerate_vertices(HPolytope(6, q2.inequalities[1:]))
+        assert len(dropped) == 5
         assert sum(not geometry.box_preimage(v, 2)[0] for v in dropped) == 1
-        assert len(fallback_calls) == (0 if mode == "highs" else len(points) + len(dropped))
 
-    def test_missing_vertex_rejected_by_farkas_vector(self, fallback_calls, monkeypatch):
-        verdicts = []
-        real = geometry._farkas_certified
-
-        def recorded(eq_rhs):
-            verdicts.append(real(eq_rhs))
-            return verdicts[-1]
-
-        monkeypatch.setattr(geometry, "_farkas_certified", recorded)
-        q2 = build_q_delta(2, 2)
-        verts = enumerate_vertices(HPolytope(6, q2.inequalities[1:]))
-        missing = [v for v in verts if not geometry.box_preimage(v, 2)[0]]
-        assert len(missing) == 1
-        assert verdicts == [True] and not fallback_calls
-
-    @pytest.mark.parametrize("lie", ["point", "status"])
-    def test_wrong_highs_answer_falls_back(self, lie, fallback_calls, monkeypatch):
-        real = geometry.linprog
-
-        def lying(c, **kwargs):
-            res = real(c, **kwargs)
-            if lie == "status":
-                return SimpleNamespace(status=2 if res.status == 0 else 0,
-                                       x=np.zeros(len(c)), fun=-1.0)
-            if res.status == 0:   # a corner of the cube, not of the box polytope
-                return SimpleNamespace(status=0, x=-np.ones(len(c)), fun=res.fun)
-            return res
-
-        monkeypatch.setattr(geometry, "linprog", lying)
-        c6 = [F(1, 5), F(-1, 5), F(1, 2), F(1, 5), F(1, 2), F(1, 5)]
-        found, witness = geometry.box_preimage(c6, F(1))
-        assert found
-        assert_exact_box(witness, c6, F(1))
-        calls = len(fallback_calls)
-        assert calls == 1
-        assert geometry.box_preimage([F(0)] * 6, F(2)) == (False, None)
-        assert len(fallback_calls) == calls + 1
-
-    @pytest.mark.parametrize("forgery", ["zero", "off_null", "negative"])
-    def test_forged_farkas_vector_is_refused(self, forgery, fallback_calls, monkeypatch):
-        # HiGHS calls a feasible query infeasible and backs it with a vector
-        # that fails one exact Farkas condition: the fallback must decide
-        c6 = [F(1, 5), F(-1, 5), F(1, 2), F(1, 5), F(1, 2), F(1, 5)]
-        y = forged_farkas_vectors([F(0), *c6, F(5)])[forgery]
-
-        def lying(c, **kwargs):
-            if kwargs.get("A_ub") is not None:
-                return SimpleNamespace(status=2, x=None, fun=None)
-            return SimpleNamespace(status=0, x=np.array(y, dtype=float), fun=-1.0)
-
-        monkeypatch.setattr(geometry, "linprog", lying)
-        found, witness = geometry.box_preimage(c6, F(1))
-        assert found
-        assert_exact_box(witness, c6, F(1))
-        assert len(fallback_calls) == 1
-
-
-def forged_farkas_vectors(eq_rhs):
-    """Vectors y = (y_eq, y_pos) that are no Farkas vector of the box LP:
-    zero (b^T y = 0), one outside the null space of A^T, and one with
-    A^T y = 0 and b^T y < 0 but a negative weight on a positivity row."""
-    eq, pos = geometry._EQ_ROWS, geometry._POS_ROWS
-    rhs = list(eq_rhs) + [b for _, b in pos]
-    off_null = [0] * (len(eq) + len(pos))
-    off_null[len(eq) - 1] = -1                     # the monogamy row, rhs 4 + delta
-    unit = {row.index(1): k for k, row in enumerate(eq) if sorted(row) == [0] * 11 + [1]}
-    for p, q in itertools.permutations(range(len(pos)), 2):
-        diff = [a - b for a, b in zip(pos[q][0], pos[p][0])]
-        if not all(d == 0 or i in unit for i, d in enumerate(diff)):
-            continue
-        negative = [0] * (len(eq) + len(pos))
-        negative[len(eq) + p], negative[len(eq) + q] = -1, 1
-        for i, d in enumerate(diff):
-            if d:
-                negative[unit[i]] = -d
-        if sum(w * b for w, b in zip(negative, rhs)) < 0:
-            return {"zero": [0] * len(rhs), "off_null": off_null, "negative": negative}
-    raise AssertionError("no forged vector")
+    def test_convex_combinations_found_and_pushed_past_rejected(self):
+        # a point of Q_V has a box, and so do its correlators at the largest
+        # violation the summed rows allow (coeffs . c >= delta); one step past
+        # it they have none
+        summed = [[int(k) for k in row] for row in monogamy.all_summed_constraints(2)]
+        verts = enumerate_vertices(geometry.build_q_v())
+        rng = np.random.default_rng(17)
+        cases = [([F(0)] * 6, F(2))]
+        for _ in range(12):
+            picks = rng.choice(len(verts), size=int(rng.integers(2, 5)), replace=False)
+            weights = [F(int(w)) for w in rng.integers(1, 10, len(picks))]
+            weights = [w / sum(weights) for w in weights]
+            point = [sum(w * verts[i][k] for w, i in zip(weights, picks)) for k in range(7)]
+            c6, delta = point[:6], point[6]
+            found, witness = geometry.box_preimage(c6, delta)
+            assert found
+            assert_exact_box(witness, c6, delta)
+            largest = min(sum(a * v for a, v in zip(row, c6)) for row in summed)
+            assert delta <= largest <= 2
+            assert geometry.box_preimage(c6, largest)[0]
+            cases.append((c6, largest + F(1, 1000)))
+        for c6, delta in cases:
+            assert geometry.box_preimage(c6, delta) == (False, None)
 
 
 class TestDumps:
