@@ -500,19 +500,52 @@ def assert_exact_box(witness, c6, delta):
     assert geometry.monogamy_functional(witness) == 4 + delta
 
 
-class TestPreimageExact:
-    def test_vertices_found(self):
+def highs_box_feasible(c6, delta):
+    """HiGHS's float verdict on the box LP that box_preimage solves exactly."""
+    eq_rhs = [0.0, *map(float, c6), 4.0 + float(delta)]
+    res = linprog(np.zeros(12), A_ub=np.array([r for r, _ in geometry._POS_ROWS], float),
+                  b_ub=np.array([b for _, b in geometry._POS_ROWS], float),
+                  A_eq=np.array(geometry._EQ_ROWS, float), b_eq=eq_rhs,
+                  bounds=(None, None), method="highs")
+    return res.status == 0
+
+
+class TestPreimageCertificates:
+    @pytest.fixture
+    def exact_calls(self, monkeypatch):
+        calls = []
+        real = geometry.lp_feasible
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "lp_feasible", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["highs", "forced"])
+    def test_vertices_found_without_fallback(self, mode, exact_calls):
+        # box_preimage has no fallback: one exact LP decides each query, and
+        # a found witness is checked row by row (the certificate).  forced:
+        # the exact verdicts alone; highs: HiGHS, outside the path, solves the
+        # same LP in floats as an independent oracle and must agree with each.
         points = [(v[:6], v[6]) for v in enumerate_vertices(geometry.build_q_v())]
         points += [(v, F(1, 2)) for v in enumerate_vertices(build_q_delta(2, F(1, 2)))]
         assert len(points) == 24 + 28
-        for c6, delta in points:
-            found, witness = geometry.box_preimage(c6, delta)
-            assert found
-            assert_exact_box(witness, c6, delta)
         q2 = build_q_delta(2, 2)
         dropped = enumerate_vertices(HPolytope(6, q2.inequalities[1:]))
         assert len(dropped) == 5
-        assert sum(not geometry.box_preimage(v, 2)[0] for v in dropped) == 1
+        verdicts = []
+        for c6, delta in points + [(v, F(2)) for v in dropped]:
+            found, witness = geometry.box_preimage(c6, delta)
+            if found:
+                assert_exact_box(witness, c6, delta)
+            verdicts.append(found)
+            if mode == "highs":
+                assert highs_box_feasible(c6, delta) == found
+        assert all(verdicts[:len(points)])
+        assert verdicts[len(points):].count(False) == 1
+        assert len(exact_calls) == len(points) + len(dropped)
 
     def test_convex_combinations_found_and_pushed_past_rejected(self):
         # a point of Q_V has a box, and so do its correlators at the largest
