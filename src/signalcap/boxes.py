@@ -78,6 +78,9 @@ def make_box(m, table) -> TripartiteBox:
     want = (scenario.m, scenario.m, 2, 2, 2)
     if t.shape != want:
         raise BoxFormatError(f"table: expected shape {want}, got {t.shape}")
+    if not np.isfinite(t).all():
+        idx = tuple(int(k) for k in np.argwhere(~np.isfinite(t))[0])
+        raise BoxError(f"table entry {idx} is {t[idx]}, not a finite number")
     if t.min() < -PROB_TOL:
         idx = np.unravel_index(int(t.argmin()), t.shape)
         raise NegativeProbability(idx, t[idx])
@@ -153,21 +156,30 @@ def three_body_table(box: TripartiteBox) -> np.ndarray:
     return np.einsum("ijabe,a,b,e->ij", box.table, SIGNS, SIGNS, SIGNS)
 
 
+@lru_cache(maxsize=None)
+def chained_bell_terms(m: int) -> tuple:
+    """The 2m terms ((i, j), sign) of the chained Bell expression in <A_i B_j>.
+
+    I_m = sum_k (<A_k B_k> + <A_{k+1} B_k>) with A_m = -A_0, in that order;
+    the last term is stored on the actual pair as ((0, m - 1), -1).  The Bell
+    value, the PR box, the monogamy members and the box LP read it here.
+    """
+    terms = []
+    for k in range(m):
+        terms += [((k, k), 1), ((k + 1, k), 1) if k + 1 < m else ((0, k), -1)]
+    return tuple(terms)
+
+
 def chained_bell_value(box: TripartiteBox) -> float:
-    """Chained Bell expression sum_k (<A_k B_k> + <A_{k+1} B_k>) with A_M = -A_0.
+    """Chained Bell expression I_m, summed over chained_bell_terms(m) in order.
 
     For m = 2 this is the CHSH combination
     <A_0 B_0> + <A_1 B_0> + <A_1 B_1> - <A_0 B_1>.
     """
     ab, _, _ = two_body_tables(box)
-    m = box.m
     total = 0.0
-    for k in range(m):
-        total += ab[k, k]
-        if k + 1 < m:
-            total += ab[k + 1, k]
-        else:
-            total -= ab[0, k]
+    for (i, j), sign in chained_bell_terms(box.m):
+        total += sign * ab[i, j]
     return float(total)
 
 
@@ -380,7 +392,8 @@ def pr_times_coin(m: int = 2) -> TripartiteBox:
     """Box whose AB marginal maximizes the chained Bell expression (value 2m)
     while E is an uncorrelated fair coin."""
     ab = np.ones((m, m))
-    ab[0, m - 1] = -1.0
+    for (i, j), sign in chained_bell_terms(m):
+        ab[i, j] = sign
     zero = np.zeros((m, m))
     return from_correlators(m, ab, zero, zero)
 
@@ -493,7 +506,7 @@ def box_from_json_dict(doc: dict) -> TripartiteBox:
                     _expect_list(node, 2, p)
                     for k, child in enumerate(node):
                         stack.append((child, f"{p}[{k}]", depth + 1))
-                elif not isinstance(node, (int, float)):
+                elif isinstance(node, bool) or not isinstance(node, (int, float)):
                     raise BoxFormatError(f"{p}: expected a number, got {type(node).__name__}")
     return make_box(m, np.asarray(table, dtype=float))
 

@@ -73,7 +73,7 @@ def cmd_curve(args) -> int:
     if not 0 < args.step <= 2.0:
         print(f"error: curve step must lie in (0, 2], got {args.step}", file=sys.stderr)
         return 2
-    if not args.tol > 0:
+    if not 0 < args.tol < np.inf:
         print("error: tolerances must be positive", file=sys.stderr)
         return 2
     deltas = [round(k * args.step, 10) for k in range(int(round(2.0 / args.step)) + 1)]

@@ -86,17 +86,12 @@ def build_q_v() -> HPolytope:
     The violation constraints read coeffs . c >= delta, so delta enters each
     row with coefficient +1 on the <= side.
     """
-    rows = []
-    for summed in monogamy.all_summed_constraints(2):
-        coeffs = [Fraction(-int(v)) for v in summed] + [Fraction(1)]
-        rows.append((tuple(coeffs), Fraction(0)))
-    for coeffs, b in _bounds_rows(6):
-        rows.append((tuple(list(coeffs) + [Fraction(0)]), b))
-    up = [Fraction(0)] * 6 + [Fraction(1)]
-    rows.append((tuple(up), Fraction(2)))
-    down = [Fraction(0)] * 6 + [Fraction(-1)]
-    rows.append((tuple(down), Fraction(0)))
-    return HPolytope(7, tuple(rows))
+    dim = len(boxes.correlator_layout(2))
+    rows = [(tuple(Fraction(-int(v)) for v in summed) + (Fraction(1),), Fraction(0))
+            for summed in monogamy.all_summed_constraints(2)]
+    rows += [(coeffs + (Fraction(0),), b) for coeffs, b in _bounds_rows(dim)]
+    rows += [((Fraction(0),) * dim + coeffs, b) for coeffs, b in _bounds_rows(1, 0, 2)]
+    return HPolytope(dim + 1, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -120,46 +115,51 @@ def enumerate_vertices(poly: HPolytope) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the twelve-correlator box polytope (m = 2)
-#
-# coordinate order: AB00 AB01 AB10 AB11 | AE00 AE01 AE10 AE11 | BE00 BE01 BE10 BE11
-# with ABij = <A_i B_j>_E, AEij = <A_i E>_{B_j}, BEij = <B_j E>_{A_i}.
+# the box polytope over the two-body correlators
 
-AB = {(i, j): 2 * i + j for i in range(2) for j in range(2)}
-AE = {(i, j): 4 + 2 * i + j for i in range(2) for j in range(2)}
-BE = {(i, j): 8 + 2 * i + j for i in range(2) for j in range(2)}
+def _box_lp(m: int):
+    """Rows of the box LP over the 3m^2 correlators of boxes.two_body_tables.
 
-# phi: twelve correlators -> the correlator vector (x_A^1, y_A^1, x_B^0, y_B^0, x_B^1, y_B^1)
-PHI_INDICES = tuple({"ae": AE, "be": BE}[table][(i, j)]
-                    for _, table, i, j in boxes.correlator_layout(2))
+    Coordinates number ab[i, j] = <A_i B_j>_E, then ae[i, j] = <A_i E>_{B_j},
+    then be[i, j] = <B_j E>_{A_i}, each row-major.  Returns the three maps
+    (i, j) -> coordinate; the 8m^2 rows saying every entry (1/8)(1 + ...) of
+    boxes.from_correlators is nonnegative; the equalities <B_0 E>_{A_i} =
+    <B_0 E>_{A_0}; the phi indices, read off boxes.correlator_layout(m); and
+    the monogamy row I_m + 2<B_0 E>_{A_0}, read off boxes.chained_bell_terms(m).
+    """
+    n = m * m
+    ab, ae, be = ({(i, j): k * n + m * i + j for i in range(m) for j in range(m)}
+                  for k in range(3))
 
-# monogamy functional M(p) = I_AB + 2 <B_0 E>_{A_0}
-_M_ROW = [Fraction(0)] * 12
-for idx, coef in ((AB[(0, 0)], 1), (AB[(1, 0)], 1), (AB[(1, 1)], 1), (AB[(0, 1)], -1),
-                  (BE[(0, 0)], 2)):
-    _M_ROW[idx] = Fraction(coef)
-M_ROW = tuple(_M_ROW)
+    def row(entries):
+        coeffs = dict(entries)
+        return tuple(Fraction(coeffs.get(k, 0)) for k in range(3 * n))
+
+    positivity = [(row([(ab[p], -sa * sb), (ae[p], -sa * se), (be[p], -sb * se)]), Fraction(1))
+                  for p in itertools.product(range(m), repeat=2)
+                  for sa, sb, se in itertools.product((1, -1), repeat=3)]
+    equalities = [(row([(be[(0, 0)], 1), (be[(i, 0)], -1)]), Fraction(0)) for i in range(1, m)]
+    tables = {"ae": ae, "be": be}
+    phi_indices = tuple(tables[t][(i, j)] for _, t, i, j in boxes.correlator_layout(m))
+    m_row = row([(ab[p], s) for p, s in boxes.chained_bell_terms(m)] + [(be[(0, 0)], 2)])
+    return (ab, ae, be), positivity, equalities, phi_indices, m_row
+
+
+# The twelve-correlator box polytope (m = 2), coordinates
+# AB00 AB01 AB10 AB11 | AE00 AE01 AE10 AE11 | BE00 BE01 BE10 BE11.
+# PHI_INDICES maps them to (x_A^1, y_A^1, x_B^0, y_B^0, x_B^1, y_B^1) and
+# M_ROW is the monogamy functional M(p) = I_AB + 2 <B_0 E>_{A_0}.
+(AB, AE, BE), _POSITIVITY, _EQUALITIES, PHI_INDICES, M_ROW = _box_lp(2)
 
 
 def box_polytope_inequalities():
     """The 32 probability-nonnegativity rows of the (1/8)(1 + ...) expansion."""
-    rows = []
-    for i, j in itertools.product(range(2), repeat=2):
-        for sa, sb, se in itertools.product((1, -1), repeat=3):
-            coeffs = [Fraction(0)] * 12
-            coeffs[AB[(i, j)]] = Fraction(-sa * sb)
-            coeffs[AE[(i, j)]] = Fraction(-sa * se)
-            coeffs[BE[(i, j)]] = Fraction(-sb * se)
-            rows.append((tuple(coeffs), Fraction(1)))
-    return rows
+    return list(_POSITIVITY)
 
 
 def box_polytope_equalities():
     """Equal <B_0 E> conditionals: BE00 = BE10."""
-    row = [Fraction(0)] * 12
-    row[BE[(0, 0)]] = Fraction(1)
-    row[BE[(1, 0)]] = Fraction(-1)
-    return [(tuple(row), Fraction(0))]
+    return list(_EQUALITIES)
 
 
 def build_box_polytope() -> HPolytope:
@@ -202,7 +202,7 @@ def box_preimage(c6, delta):
     c6 = [_rationalize(v) for v in c6]
     d = _rationalize(delta)
     eq_rhs = [Fraction(0), *c6, Fraction(4) + d]
-    res = lp_feasible(list(zip(_EQ_ROWS, eq_rhs)), _POS_ROWS, dim=12)
+    res = lp_feasible(list(zip(_EQ_ROWS, eq_rhs)), _POS_ROWS, dim=len(M_ROW))
     return res.feasible, res.witness
 
 

@@ -118,36 +118,20 @@ def monogamy_lhs(box: boxes.TripartiteBox, m=None, relaxed: bool = False) -> Mon
 # ---------------------------------------------------------------------------
 # the 2m-member inequality sets and their summed constraints
 
-def _base_member(m: int, i: int, j: int, swapped: bool) -> TripleInequality:
-    """Member inequality for Bell term <A_{i+j} B_i>, i = 1..m-1, j = 0..1.
-
-    The unswapped signs are (+1, -1, +1) for j = 0 and (+1, +1, -1) for
-    j = 1; a swap exchanges the signs of the second and third correlator.
-    The j = 1, i = m-1 member involves A_m = -A_0 and is stored on the
-    actual pair (0, m-1) with the two A-outcome signs negated.
-    """
-    if j == 0:
-        signs = (1, 1, -1) if swapped else (1, -1, 1)
-        return TripleInequality((i, i), signs)
-    signs = (1, -1, 1) if swapped else (1, 1, -1)
-    if i + 1 < m:
-        return TripleInequality((i + 1, i), signs)
-    s1, s2, s3 = signs
-    return TripleInequality((0, m - 1), (-s1, s2, -s3))
-
-
 def _members(m: int, swaps) -> tuple:
     """The 2m member inequalities for one choice of swap bits.
 
-    swaps is a flat tuple of length 2(m-1) ordered by (i, j) for
-    i = 1..m-1, j = 0..1; all zeros gives the set whose sum is the base
-    violation constraint.
+    Term t = ((i, j), s) of boxes.chained_bell_terms(m) gives the member
+    s <A_i B_j> + u <B_j E>_{A_i} - s u <A_i E>_{B_j} <= 1.  The first two
+    terms take u = +1, which sums to 2<B_0 E>; term t >= 2 takes u = -1 at
+    even t and +1 at odd t, negated when swap bit t - 2 is set (a swap
+    exchanges the signs of the second and third correlator).  All-zero
+    swaps give the set whose sum is the base violation constraint.
     """
-    members = [TripleInequality((0, 0), (1, 1, -1)),
-               TripleInequality((1, 0), (1, 1, -1))]
-    for i in range(1, m):
-        for j in (0, 1):
-            members.append(_base_member(m, i, j, bool(swaps[2 * (i - 1) + j])))
+    members = []
+    for t, ((i, j), s) in enumerate(boxes.chained_bell_terms(m)):
+        u = 1 if t < 2 else (-1) ** (t + 1 + swaps[t - 2])
+        members.append(TripleInequality((i, j), (s, u, -s * u)))
     return tuple(members)
 
 
@@ -167,14 +151,9 @@ def summed_constraint(m: int, members) -> np.ndarray:
             raw[key] = raw.get(key, 0) + s
 
     # Bell part must be exactly the chained combination.
-    for k in range(m):
-        if raw.pop(("ab", k, k), 0) != 1:
+    for (i, j), sign in boxes.chained_bell_terms(m):
+        if raw.pop(("ab", i, j), 0) != sign:
             raise ValueError("member sum does not reproduce the chained Bell expression")
-    for k in range(m - 1):
-        if raw.pop(("ab", k + 1, k), 0) != 1:
-            raise ValueError("member sum does not reproduce the chained Bell expression")
-    if raw.pop(("ab", 0, m - 1), 0) != -1:
-        raise ValueError("member sum does not reproduce the chained Bell expression")
     # <B_0 E> terms must total +2 across conditionings.
     b0e = sum(raw.pop(("be", i, 0), 0) for i in range(m))
     if b0e != 2:
@@ -256,12 +235,8 @@ def verify_minimal_set(m: int, size=None) -> int:
     size = 2 * m if size is None else int(size)
 
     target_ab = np.zeros((m, m), dtype=int)
-    for k in range(m):
-        target_ab[k, k] += 1
-        if k + 1 < m:
-            target_ab[k + 1, k] += 1
-        else:
-            target_ab[0, k] -= 1
+    for (i, j), sign in boxes.chained_bell_terms(m):
+        target_ab[i, j] += sign
     target_be = np.zeros(m, dtype=int)
     target_be[0] = 2
 

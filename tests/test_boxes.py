@@ -4,6 +4,7 @@ import pytest
 from signalcap import boxes
 from signalcap.boxes import (
     BellScenario,
+    BoxError,
     BoxFormatError,
     NegativeProbability,
     NotNormalized,
@@ -50,6 +51,15 @@ class TestMakeBox:
     def test_wrong_shape_rejected(self):
         with pytest.raises(BoxFormatError):
             boxes.make_box(2, np.full((2, 2, 2, 2), 1 / 4))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, value):
+        # every comparison with nan is false, so neither the sign nor the
+        # normalization test would catch it
+        t = np.full((2, 2, 2, 2, 2), 1 / 8)
+        t[0, 1, 1, 0, 1] = value
+        with pytest.raises(BoxError, match=r"table entry \(0, 1, 1, 0, 1\) is .*not a finite"):
+            boxes.make_box(2, t)
 
     def test_scenario_needs_two_settings(self):
         with pytest.raises(ValueError):
@@ -215,6 +225,35 @@ class TestCanonicalBoxes:
         assert boxes.check_no_signaling(box, 1e-12).is_nonsignaling
 
 
+class TestChainedBellTerms:
+    def test_m2_is_chsh(self):
+        assert boxes.chained_bell_terms(2) == (((0, 0), 1), ((1, 0), 1),
+                                               ((1, 1), 1), ((0, 1), -1))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_chain_closes_with_one_minus_sign(self, m):
+        # A_0 B_0, A_1 B_0, A_1 B_1, ..., A_m B_{m-1} with A_m = -A_0
+        pairs = [p for k in range(m) for p in ((k, k), ((k + 1) % m, k))]
+        terms = boxes.chained_bell_terms(m)
+        assert [pair for pair, _ in terms] == pairs
+        assert [sign for _, sign in terms] == [1] * (2 * m - 1) + [-1]
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_value_bit_for_bit(self, m):
+        # the chain as first summed by hand, term by term with A_m = -A_0
+        for seed in range(20):
+            box = boxes.random_nonsignaling(m, seed)
+            ab, _, _ = boxes.two_body_tables(box)
+            total = 0.0
+            for k in range(m):
+                total += ab[k, k]
+                if k + 1 < m:
+                    total += ab[k + 1, k]
+                else:
+                    total -= ab[0, k]
+            assert boxes.chained_bell_value(box) == float(total)
+
+
 class TestReferenceBox:
     def test_delta_zero_is_nonsignaling_and_saturating(self):
         box = boxes.reference_box(0.0, 0.0)
@@ -335,3 +374,11 @@ class TestJsonFormat:
         path.write_text('{"m": 2}')
         with pytest.raises(BoxFormatError):
             boxes.load_box(path)
+
+    def test_boolean_entry_rejected(self):
+        # bool is a subclass of int, so true/false used to read as 1/0
+        doc = boxes.box_to_json_dict(boxes.pr_times_coin())
+        doc["table"][1][1][0][0][0] = False
+        with pytest.raises(BoxFormatError, match=r"table\[1\]\[1\]\[0\]\[0\]\[0\]: "
+                                                 "expected a number, got bool"):
+            boxes.box_from_json_dict(doc)

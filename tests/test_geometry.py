@@ -457,6 +457,50 @@ class TestBoxPolytope:
         assert geometry.monogamy_functional(p12) == 5
 
 
+class TestBoxLPRows:
+    def test_m2_tables_pinned(self):
+        # the twelve-correlator tables as first written out by hand
+        assert geometry.AB == {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
+        assert geometry.AE == {(0, 0): 4, (0, 1): 5, (1, 0): 6, (1, 1): 7}
+        assert geometry.BE == {(0, 0): 8, (0, 1): 9, (1, 0): 10, (1, 1): 11}
+        assert geometry.PHI_INDICES == (11, 9, 4, 5, 6, 7)
+        m_row = [1, -1, 1, 1, 0, 0, 0, 0, 2, 0, 0, 0]
+        assert geometry.M_ROW == tuple(F(v) for v in m_row)
+        assert all(type(v) is F for v in geometry.M_ROW)
+        units = [[int(k == pos) for k in range(12)] for pos in (11, 9, 4, 5, 6, 7)]
+        assert geometry._EQ_ROWS == [[0] * 8 + [1, 0, -1, 0], *units, m_row]
+        pos_rows = []
+        for i, j in itertools.product(range(2), repeat=2):
+            for sa, sb, se in itertools.product((1, -1), repeat=3):
+                row = [0] * 12
+                row[2 * i + j] = -sa * sb
+                row[4 + 2 * i + j] = -sa * se
+                row[8 + 2 * i + j] = -sb * se
+                pos_rows.append((row, 1))
+        assert geometry._POS_ROWS == pos_rows
+        assert geometry.box_polytope_inequalities() == [
+            (tuple(F(v) for v in row), F(b)) for row, b in pos_rows]
+        assert geometry.box_polytope_equalities() == [
+            (tuple(F(v) for v in [0] * 8 + [1, 0, -1, 0]), F(0))]
+
+    def test_m3_rows_hold_on_nonsignaling_boxes(self):
+        (ab_idx, ae_idx, be_idx), pos, eqs, phi, m_row = geometry._box_lp(3)
+        assert (len(pos), len(eqs), len(phi), len(m_row)) == (72, 2, 10, 27)
+        assert ab_idx[(2, 1)] == 7 and ae_idx[(0, 0)] == 9 and be_idx[(2, 2)] == 26
+        A_pos = np.array([[float(v) for v in c] for c, _ in pos])
+        b_pos = np.array([float(b) for _, b in pos])
+        A_eq = np.array([[float(v) for v in c] for c, _ in eqs])
+        m_vec = np.array([float(v) for v in m_row])
+        for seed in range(20):
+            box = boxes.random_nonsignaling(3, seed)
+            ab, ae, be = boxes.two_body_tables(box)
+            p27 = np.concatenate([ab.ravel(), ae.ravel(), be.ravel()])
+            assert (A_pos @ p27 <= b_pos + 1e-12).all()
+            assert np.abs(A_eq @ p27).max() <= 1e-12
+            assert np.array_equal(p27[list(phi)], boxes.correlator_vector(box).values)
+            assert abs(m_vec @ p27 - (monogamy.bell_value(box) + 2 * be[0, 0])) <= 1e-12
+
+
 class TestCharacterization:
     def test_full_report(self, characterization):
         rep, _ = characterization

@@ -164,6 +164,33 @@ class TestInequalitySets:
             want = summed_family_coefficients(m, a_bits, b_bits, c)
             assert np.array_equal(s.summed, want)
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_members_pinned(self, m):
+        # the members as first written out term by term: two fixed B_0
+        # members, then (i, i) and (i + 1, i) for i = 1..m-1, the last one
+        # stored on (0, m - 1) with the A-outcome signs negated
+        def member(i, j, swapped):
+            if j == 0:
+                return TripleInequality((i, i), (1, 1, -1) if swapped else (1, -1, 1))
+            s1, s2, s3 = (1, -1, 1) if swapped else (1, 1, -1)
+            if i + 1 < m:
+                return TripleInequality((i + 1, i), (s1, s2, s3))
+            return TripleInequality((0, m - 1), (-s1, s2, -s3))
+
+        sets = monogamy.all_inequality_sets(m)
+        assert len(sets) == 4 ** (m - 1)
+        for s in sets:
+            want = [TripleInequality((0, 0), (1, 1, -1)), TripleInequality((1, 0), (1, 1, -1))]
+            want += [member(i, j, s.swaps[2 * (i - 1) + j])
+                     for i in range(1, m) for j in (0, 1)]
+            assert s.members == tuple(want)
+
+    def test_members_carry_the_bell_terms(self):
+        for m in (2, 3, 4):
+            terms = boxes.chained_bell_terms(m)
+            for s in monogamy.all_inequality_sets(m):
+                assert [(t.setting_pair, t.signs[0]) for t in s.members] == list(terms)
+
     def test_members_have_valid_sign_patterns(self):
         for s in monogamy.all_inequality_sets(3):
             assert len(s.members) == 6
