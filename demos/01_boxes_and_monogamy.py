@@ -15,13 +15,13 @@ pr = boxes.pr_times_coin()
 rep = boxes.check_no_signaling(pr)
 print(f"nonsignaling: {rep.is_nonsignaling} (worst marginal spread {rep.worst_violation:.1e})")
 mono = monogamy.monogamy_lhs(pr)
-print(f"CHSH value {monogamy.bell_value(pr)}, monogamy lhs {mono.lhs} <= {mono.bound:g}")
+print(f"CHSH value {boxes.chained_bell_value(pr)}, monogamy lhs {mono.lhs} <= {mono.bound:g}")
 print("the algebraically maximal CHSH value forces <B_0 E> = 0\n")
 
 print("== a local deterministic box ==")
 det = boxes.local_deterministic(2, [1, 1], [1, 1], 1)
 mono = monogamy.monogamy_lhs(det)
-print(f"CHSH value {monogamy.bell_value(det)}, <B_0 E> = 1, lhs {mono.lhs} (saturates)\n")
+print(f"CHSH value {boxes.chained_bell_value(det)}, <B_0 E> = 1, lhs {mono.lhs} (saturates)\n")
 
 print("== random nonsignaling mixtures never violate ==")
 worst = 0.0

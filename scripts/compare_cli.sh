@@ -1,0 +1,78 @@
+#!/usr/bin/env bash
+# Byte-compare the CLI and the demos of two source trees.
+#
+#   scripts/compare_cli.sh PARENT_DIR CHANGE_DIR
+#
+# Runs the same command list in each tree (PYTHONPATH=<tree>/src, working
+# directory <tree>) and records, per command, its stdout, stderr, exit code
+# and any --out file under OUT/parent and OUT/change.  OUT is a fresh
+# temporary directory, printed at the end.  The two trees run side by side,
+# one process each; the commands within a tree run one after another.
+# Exit status: 0 when every recorded byte matches, 1 on any difference
+# (shown by diff -r), 2 on bad arguments.
+set -u
+
+if [ $# -ne 2 ] || [ ! -d "$1/src/signalcap" ] || [ ! -d "$2/src/signalcap" ]; then
+    echo "usage: $0 PARENT_DIR CHANGE_DIR (each a checkout with src/signalcap)" >&2
+    exit 2
+fi
+OUT=$(mktemp -d "${TMPDIR:-/tmp}/compare_cli.XXXXXX")
+
+# name|arguments; @OUT@ becomes the path of the command's --out file
+COMMANDS=(
+    "curve_m2_step0.5|-m signalcap.cli curve --m 2 --step 0.5"
+    "curve_m2_step0.1|-m signalcap.cli curve --m 2 --step 0.1"
+    "curve_m3_step0.1|-m signalcap.cli curve --m 3 --step 0.1"
+    "verify_appendix-a|-m signalcap.cli verify appendix-a"
+    "verify_appendix-b|-m signalcap.cli verify appendix-b"
+    "verify_minimal-set|-m signalcap.cli verify minimal-set"
+    "verify_properties_seed0|-m signalcap.cli verify properties --seed 0"
+    "verify_properties_seed8|-m signalcap.cli verify properties --seed 8"
+)
+for m in 2 3; do
+    for d in 0 1 2; do
+        COMMANDS+=("dump_m${m}_delta${d}_vertices|-m signalcap.cli dump-polytope --m $m --delta $d --vertices")
+    done
+done
+for d in 0 1 2; do
+    COMMANDS+=("dump_m4_delta${d}|-m signalcap.cli dump-polytope --m 4 --delta $d")
+done
+COMMANDS+=(
+    "check_box_reference|-m signalcap.cli check-box data/reference_box_delta2.json --out @OUT@"
+    "check_box_reference_relaxed|-m signalcap.cli check-box data/reference_box_delta2.json --relaxed --out @OUT@"
+    "check_box_uniform|-m signalcap.cli check-box data/uniform_box.json"
+)
+for demo in "$1"/demos/*.py; do
+    name=$(basename "$demo" .py)
+    COMMANDS+=("demo_$name|demos/$name.py")
+done
+
+run_tree() {   # run_tree TREE DEST
+    local tree dest entry name args
+    tree=$(cd "$1" && pwd)
+    dest=$2
+    mkdir -p "$dest"
+    for entry in "${COMMANDS[@]}"; do
+        name=${entry%%|*}
+        args=${entry#*|}
+        args=${args//@OUT@/$dest/$name.out.json}
+        # word splitting of $args is intended: no argument contains a space
+        (cd "$tree" && PYTHONPATH="$tree/src" python3 $args \
+            >"$dest/$name.stdout" 2>"$dest/$name.stderr")
+        echo $? >"$dest/$name.code"
+    done
+}
+
+run_tree "$1" "$OUT/parent" &
+parent_pid=$!
+run_tree "$2" "$OUT/change" &
+change_pid=$!
+wait "$parent_pid"
+wait "$change_pid"
+
+if diff -r "$OUT/parent" "$OUT/change"; then
+    echo "compare_cli: ${#COMMANDS[@]} commands identical (outputs in $OUT)"
+else
+    echo "compare_cli: outputs differ (outputs in $OUT)" >&2
+    exit 1
+fi

@@ -2,10 +2,10 @@
 
 Library layout:
 
-- boxes:     probability tables, conditional correlators, no-signaling
-             checks, canonical box constructions, box JSON IO
-- monogamy:  Bell expressions, monogamy functionals, triple-inequality
-             families and the minimal-set search
+- boxes:     probability tables, conditional correlators, the chained Bell
+             expression, no-signaling checks, canonical boxes, box JSON IO
+- monogamy:  monogamy functionals, triple-inequality families and the
+             minimal-set search
 - channels:  binary asymmetric channels, capacity (closed form and
              iterative), channel families of a box
 - geometry:  exact-rational polytopes, vertex enumeration, exact LP
@@ -18,13 +18,11 @@ Library layout:
 """
 
 from .boxes import (
-    BellScenario,
     BoxError,
     BoxFormatError,
     CorrelatorVector,
     NegativeProbability,
     NotNormalized,
-    ScenarioMismatch,
     SignFlipRecord,
     TripartiteBox,
     canonicalize_signs,
@@ -64,7 +62,6 @@ from .monogamy import (
     MonogamyReport,
     StrictModeInapplicable,
     TripleInequality,
-    bell_value,
     generate_inequality_set,
     monogamy_lhs,
     triple_inequality_holds,

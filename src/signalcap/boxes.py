@@ -42,40 +42,25 @@ class NotNormalized(BoxError):
             f"p(.|A_{self.i}, B_{self.j}) sums to {self.total!r}, not 1")
 
 
-class ScenarioMismatch(BoxError):
-    pass
-
-
 class BoxFormatError(BoxError):
     """JSON reader error; the message names the offending path."""
 
 
-@dataclass(frozen=True)
-class BellScenario:
+@dataclass(frozen=True, eq=False)
+class TripartiteBox:
     """Two parties with m binary settings each plus a single-setting third party."""
 
     m: int
-
-    def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 2:
-            raise ValueError(f"need an integer number of settings m >= 2, got {self.m!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class TripartiteBox:
-    scenario: BellScenario
     table: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.scenario.m
 
 
 def make_box(m, table) -> TripartiteBox:
     """Validate a probability table of shape (m, m, 2, 2, 2) and wrap it."""
-    scenario = m if isinstance(m, BellScenario) else BellScenario(int(m))
+    m = int(m)
+    if m < 2:
+        raise ValueError(f"need an integer number of settings m >= 2, got {m!r}")
     t = np.asarray(table, dtype=float)
-    want = (scenario.m, scenario.m, 2, 2, 2)
+    want = (m, m, 2, 2, 2)
     if t.shape != want:
         raise BoxFormatError(f"table: expected shape {want}, got {t.shape}")
     if not np.isfinite(t).all():
@@ -91,7 +76,7 @@ def make_box(m, table) -> TripartiteBox:
         raise NotNormalized(i, j, sums[i, j])
     t = t.copy()
     t.flags.writeable = False
-    return TripartiteBox(scenario, t)
+    return TripartiteBox(m, t)
 
 
 # ---------------------------------------------------------------------------
@@ -104,30 +89,20 @@ def correlator(box: TripartiteBox, pair: str, setting_pair, conditioning=0) -> f
     setting_pair gives their measurement settings (E always has setting 0)
     and conditioning the remaining party's setting.
     """
-    m = box.m
     s, t = setting_pair
-    if pair == "AB":
-        i, j, k = s, t, conditioning
-        if k != 0:
-            raise IndexError("E has a single setting, conditioning must be 0")
-        weights = np.einsum("abe,a,b->", box.table[i, j], SIGNS, SIGNS)
-    elif pair == "AE":
-        i, e_set, j = s, t, conditioning
-        if e_set != 0:
-            raise IndexError("E has a single setting")
-        if not (0 <= j < m):
-            raise IndexError(f"B setting {j} out of range")
-        weights = np.einsum("abe,a,e->", box.table[i, j], SIGNS, SIGNS)
-    elif pair == "BE":
-        j, e_set, i = s, t, conditioning
-        if e_set != 0:
-            raise IndexError("E has a single setting")
-        if not (0 <= i < m):
-            raise IndexError(f"A setting {i} out of range")
-        weights = np.einsum("abe,b,e->", box.table[i, j], SIGNS, SIGNS)
-    else:
+    if pair not in ("AB", "AE", "BE"):
         raise ValueError(f"unknown pair {pair!r}")
-    return float(weights)
+    ab, ae, be = two_body_tables(box)
+    if pair == "AB":
+        if conditioning != 0:
+            raise IndexError("E has a single setting, conditioning must be 0")
+        return float(ab[s, t])
+    if t != 0:
+        raise IndexError("E has a single setting")
+    if not 0 <= conditioning < box.m:
+        other = "B" if pair == "AE" else "A"
+        raise IndexError(f"{other} setting {conditioning} out of range")
+    return float(ae[s, conditioning] if pair == "AE" else be[conditioning, s])
 
 
 def two_body_tables(box: TripartiteBox):
@@ -235,7 +210,7 @@ def symmetrize(box: TripartiteBox) -> TripartiteBox:
     conditional correlators untouched.
     """
     t = box.table
-    return make_box(box.scenario, 0.5 * (t + t[:, :, ::-1, ::-1, ::-1]))
+    return make_box(box.m, 0.5 * (t + t[:, :, ::-1, ::-1, ::-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +237,7 @@ def apply_sign_flips(box: TripartiteBox, record: SignFlipRecord) -> TripartiteBo
         t[i] = t[i, :, ::-1]
     if record.flip_e:
         t = t[:, :, :, :, ::-1]
-    return make_box(box.scenario, t)
+    return make_box(box.m, t)
 
 
 def canonicalize_signs(box: TripartiteBox):
@@ -331,7 +306,7 @@ class CorrelatorVector:
         want = len(correlator_layout(self.m, self.relaxed))
         if values.shape != (want,):
             raise ValueError(f"expected {want} components for m={self.m}, got {values.shape}")
-        if (np.abs(values) > 1.0 + 1e-9).any():
+        if not (np.abs(values) <= 1.0 + 1e-9).all():      # NaN fails too
             raise ValueError("correlator components must lie in [-1, 1]")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -342,10 +317,6 @@ class CorrelatorVector:
     @property
     def names(self) -> list:
         return component_names(self.m, self.relaxed)
-
-    @classmethod
-    def from_array(cls, m: int, arr, relaxed: bool = False) -> "CorrelatorVector":
-        return cls(m, arr, relaxed)
 
 
 def correlator_vector(box: TripartiteBox, relaxed: bool = False) -> CorrelatorVector:
@@ -370,7 +341,7 @@ def from_correlators(m: int, ab, ae, be) -> TripartiteBox:
     for name, arr in (("ab", ab), ("ae", ae), ("be", be)):
         if arr.shape != (m, m):
             raise ValueError(f"{name} must have shape {(m, m)}, got {arr.shape}")
-        if (np.abs(arr) > 1.0 + 1e-12).any():
+        if not (np.abs(arr) <= 1.0 + 1e-12).all():        # NaN fails too
             raise ValueError(f"{name} components must lie in [-1, 1]")
     sa = SIGNS[:, None, None]
     sb = SIGNS[None, :, None]
@@ -388,14 +359,19 @@ def from_correlators(m: int, ab, ae, be) -> TripartiteBox:
 # ---------------------------------------------------------------------------
 # canonical boxes
 
-def pr_times_coin(m: int = 2) -> TripartiteBox:
-    """Box whose AB marginal maximizes the chained Bell expression (value 2m)
-    while E is an uncorrelated fair coin."""
+def _pr_correlators(m: int) -> np.ndarray:
+    """<A_i B_j> of the PR-type box: the sign of each chained Bell term, +1 off it."""
     ab = np.ones((m, m))
     for (i, j), sign in chained_bell_terms(m):
         ab[i, j] = sign
+    return ab
+
+
+def pr_times_coin(m: int = 2) -> TripartiteBox:
+    """Box whose AB marginal maximizes the chained Bell expression (value 2m)
+    while E is an uncorrelated fair coin."""
     zero = np.zeros((m, m))
-    return from_correlators(m, ab, zero, zero)
+    return from_correlators(m, _pr_correlators(m), zero, zero)
 
 
 def local_deterministic(m: int, a_signs, b_signs, e_sign: int) -> TripartiteBox:
@@ -427,18 +403,18 @@ def _deterministic_index_table(m: int):
     return strategies
 
 
-def random_nonsignaling(m: int = 2, seed=None, concentration: float = 0.2) -> TripartiteBox:
+def random_nonsignaling(m: int = 2, seed=None) -> TripartiteBox:
     """Dirichlet-weighted mixture of all local deterministic boxes.
 
     Mixtures of product boxes are nonsignaling by convexity, so the result
     passes check_no_signaling at tolerance 1e-12 up to float roundoff.  The
-    default concentration < 1 biases the weights toward few strategies, so
-    samples also probe the neighborhood of the extreme points where the
-    monogamy bound is nearly saturated.
+    Dirichlet concentration 0.2 < 1 biases the weights toward few
+    strategies, so samples also probe the neighborhood of the extreme points
+    where the monogamy bound is nearly saturated.
     """
     rng = np.random.default_rng(seed)
     strategies = _deterministic_index_table(m)
-    weights = rng.dirichlet(np.full(len(strategies), concentration))
+    weights = rng.dirichlet(np.full(len(strategies), 0.2))
     t = np.zeros((m, m, 2, 2, 2))
     for w, (a, b, e) in zip(weights, strategies):
         for i in range(m):
@@ -457,8 +433,7 @@ def reference_box(delta: float, x: float) -> TripartiteBox:
     """
     if not 0.0 <= delta <= 2.0:
         raise ValueError(f"delta must lie in [0, 2], got {delta}")
-    ab = np.ones((2, 2))
-    ab[0, 1] = -1.0
+    ab = _pr_correlators(2)
     ae = np.array([[delta / 2.0, x], [delta / 2.0, x]])
     be = ab * ae
     return from_correlators(2, ab, ae, be)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boxes
-from .boxes import ScenarioMismatch
 
 VIOLATION_TOL = 1e-9
 
@@ -69,17 +68,6 @@ def triple_value(box: boxes.TripartiteBox, ineq: TripleInequality) -> float:
     return float(s1 * ab[i, j] + s2 * be[i, j] + s3 * ae[i, j])
 
 
-def bell_value(box: boxes.TripartiteBox, m=None) -> float:
-    """Chained Bell expression I_m; CHSH for m = 2.
-
-    Correlators are conditioned on E's sole setting, so the value is defined
-    for signaling boxes as well.
-    """
-    if m is not None and m != box.m:
-        raise ScenarioMismatch(f"box has m={box.m}, requested m={m}")
-    return boxes.chained_bell_value(box)
-
-
 @dataclass(frozen=True)
 class MonogamyReport:
     lhs: float
@@ -88,18 +76,16 @@ class MonogamyReport:
     violated: bool
 
 
-def monogamy_lhs(box: boxes.TripartiteBox, m=None, relaxed: bool = False) -> MonogamyReport:
+def monogamy_lhs(box: boxes.TripartiteBox, *, relaxed: bool = False) -> MonogamyReport:
     """|I_m| + 2|<B_0 E>| against the nonsignaling bound 2m.
 
     Strict mode requires <B_0 E>_{A_i} to agree across conditionings within
     1e-9 and uses their common value; relaxed mode (m = 2) uses
     |I| + |<B_0 E>_{A_0} + <B_0 E>_{A_1}| instead.
     """
-    if m is not None and m != box.m:
-        raise ScenarioMismatch(f"box has m={box.m}, requested m={m}")
     m = box.m
     _, _, be = boxes.two_body_tables(box)
-    bell = bell_value(box)
+    bell = boxes.chained_bell_value(box)
     b0e = be[:, 0]
     if relaxed:
         if m != 2:

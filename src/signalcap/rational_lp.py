@@ -171,20 +171,15 @@ class LPResult:
     value: "Fraction | None"
 
 
-def linprog_exact(c, A_ub=(), b_ub=(), A_eq=(), b_eq=(), nonneg=False) -> LPResult:
-    """Minimize c . x subject to A_ub x <= b_ub and A_eq x = b_eq, exactly.
+def linprog_exact(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LPResult:
+    """Minimize c . x over free x with A_ub x <= b_ub, A_eq x = b_eq, exactly.
 
-    Variables are free unless nonneg is set (then x >= 0).  The feasible
-    set is read off its double description: empty when no ray has t > 0,
-    unbounded below when c falls along a ray with t = 0 or is not constant
-    along a line, and otherwise minimized at a ray with t > 0 (the first in
-    generator order on a tie).
+    The feasible set is read off its double description: empty when no ray
+    has t > 0, unbounded below when c falls along a ray with t = 0 or is not
+    constant along a line, and otherwise minimized at a ray with t > 0 (the
+    first in generator order on a tie).
     """
-    n = len(c)
-    ubs = list(zip(A_ub, b_ub))
-    if nonneg:
-        ubs += [([-int(i == j) for j in range(n)], 0) for i in range(n)]
-    rays, lines = double_description(n, zip(A_eq, b_eq), ubs)
+    rays, lines = double_description(len(c), zip(A_eq, b_eq), zip(A_ub, b_ub))
     cost, _ = int_scale_row(c, 0)
 
     def at(y):

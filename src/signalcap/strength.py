@@ -29,7 +29,6 @@ class StrengthResult:
     delta: float
     value: float
     witness: "boxes.CorrelatorVector | None"
-    method: str             # minimax_solver | grid_oracle | optimal_family | analytic
     label: str = "exact"    # "conjectured lower bound" for chained m >= 3
     gap: float = 0.0
     iterations: int = 0
@@ -118,14 +117,20 @@ def minimax_capacity(poly: geometry.HPolytope, pairs, tol: float = 1e-4,
     raise NoConvergence(max_iter, best=(best_val, best_x))
 
 
-def c_delta(delta: float, tol: float = 1e-4, relaxed: bool = False) -> StrengthResult:
-    """Min-max capacity over the two-setting violation polytope."""
-    poly = geometry.build_q_delta(2, delta, relaxed)
-    pairs = channels.family_index_pairs(2, relaxed)
+def _solve(m: int, delta: float, tol: float, relaxed: bool = False) -> StrengthResult:
+    """Min-max capacity over the m-setting violation polytope, labeled by m."""
+    poly = geometry.build_q_delta(m, delta, relaxed)
+    pairs = channels.family_index_pairs(m, relaxed)
     sym = pairs[-1][1:] if relaxed else None   # the relaxed pair (x_A^0, y_A^0)
     value, witness, gap, it = minimax_capacity(poly, pairs, tol, symmetrize_idx=sym)
-    vec = boxes.CorrelatorVector.from_array(2, witness, relaxed)
-    return StrengthResult(float(delta), value, vec, "minimax_solver", "exact", gap, it)
+    label = "exact" if m == 2 else "conjectured lower bound"
+    return StrengthResult(float(delta), value, boxes.CorrelatorVector(m, witness, relaxed),
+                          label, gap, it)
+
+
+def c_delta(delta: float, tol: float = 1e-4, relaxed: bool = False) -> StrengthResult:
+    """Min-max capacity over the two-setting violation polytope."""
+    return _solve(2, delta, tol, relaxed)
 
 
 def chained_polytope_bound(m: int, delta: float, tol: float = 1e-4) -> StrengthResult:
@@ -136,16 +141,10 @@ def chained_polytope_bound(m: int, delta: float, tol: float = 1e-4) -> StrengthR
     unproved conjecture and the value is labeled a conjectured lower bound.
     """
     if m == 2:
-        res = c_delta(delta, tol)
-        return res
+        return c_delta(delta, tol)
     if m > 4:
         raise ValueError("constraint count 4^(m-1) kept tractable: m <= 4")
-    poly = geometry.build_q_delta(m, delta)
-    pairs = channels.family_index_pairs(m)
-    value, witness, gap, it = minimax_capacity(poly, pairs, tol)
-    vec = boxes.CorrelatorVector.from_array(m, witness)
-    return StrengthResult(float(delta), value, vec, "minimax_solver",
-                          "conjectured lower bound", gap, it)
+    return _solve(m, delta, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +178,7 @@ def optimal_family(delta: float) -> OptimalFamily:
     if not 0.0 <= delta <= 2.0:
         raise ValueError("delta must lie in [0, 2]")
     if delta == 0.0:
-        witness = boxes.CorrelatorVector.from_array(2, np.zeros(6))
+        witness = boxes.CorrelatorVector(2, np.zeros(6))
         return OptimalFamily(0.0, 0.0, 0.0, witness)
     p0 = (1.0 + delta / 2.0) / 2.0
 
@@ -204,7 +203,7 @@ def optimal_family(delta: float) -> OptimalFamily:
     value = channels._capacity_pq((1.0 + x) / 2.0, (1.0 - x) / 2.0)
     arr = np.array([x, -x, delta / 2.0, x, delta / 2.0, x])
     return OptimalFamily(float(delta), float(x), float(value),
-                         boxes.CorrelatorVector.from_array(2, arr))
+                         boxes.CorrelatorVector(2, arr))
 
 
 @dataclass(frozen=True)
@@ -381,8 +380,7 @@ def _global_grid_scan(delta: float, step: float):
     return float(incumbent), point
 
 
-def grid_oracle(delta: float, step: float = 0.05, m: int = 2,
-                refine_to: float = 5e-5) -> float:
+def grid_oracle(delta: float, step: float = 0.05, *, refine_to: float = 5e-5) -> float:
     """Brute-force upper-bounding estimate of the two-setting strength.
 
     Scans the full six-dimensional correlator grid at the given step,
@@ -391,8 +389,6 @@ def grid_oracle(delta: float, step: float = 0.05, m: int = 2,
     Only feasible points are ever evaluated, so the result upper-bounds the
     true minimum and converges to it as step -> 0.
     """
-    if m != 2:
-        raise ValueError("grid oracle implemented for m = 2")
     if not 0 < step <= 0.05 + 1e-12:
         raise ValueError("step must lie in (0, 0.05]")
     incumbent, point = _global_grid_scan(delta, step)

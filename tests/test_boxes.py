@@ -1,9 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from signalcap import boxes
 from signalcap.boxes import (
-    BellScenario,
     BoxError,
     BoxFormatError,
     NegativeProbability,
@@ -62,8 +63,8 @@ class TestMakeBox:
             boxes.make_box(2, t)
 
     def test_scenario_needs_two_settings(self):
-        with pytest.raises(ValueError):
-            BellScenario(1)
+        with pytest.raises(ValueError, match=r"^need an integer number of settings m >= 2, got 1$"):
+            boxes.make_box(1, np.full((1, 1, 2, 2, 2), 1 / 8))
 
 
 class TestCorrelator:
@@ -85,6 +86,34 @@ class TestCorrelator:
     def test_out_of_range_setting(self):
         with pytest.raises(IndexError):
             boxes.correlator(uniform_box(), "AE", (0, 0), 2)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_reads_two_body_tables(self, m):
+        # ab[i, j] = <A_i B_j>, ae[i, j] = <A_i E>_{B_j}, be[i, j] = <B_j E>_{A_i}
+        for seed in range(5):
+            box = boxes.random_nonsignaling(m, seed)
+            ab, ae, be = boxes.two_body_tables(box)
+            for i, j in itertools.product(range(m), repeat=2):
+                assert boxes.correlator(box, "AB", (i, j)) == ab[i, j]
+                assert boxes.correlator(box, "AE", (i, 0), j) == ae[i, j]
+                assert boxes.correlator(box, "BE", (j, 0), i) == be[i, j]
+
+    @pytest.mark.parametrize("pair,sp,cond,msg", [
+        ("AB", (0, 1), 1, "conditioning must be 0"),
+        ("AE", (0, 1), 0, "E has a single setting"),
+        ("BE", (1, 1), 0, "E has a single setting"),
+        ("AE", (0, 0), 3, "B setting 3 out of range"),
+        ("BE", (0, 0), 3, "A setting 3 out of range"),
+        ("AE", (0, 0), -1, "B setting -1 out of range"),
+        ("BE", (2, 0), -1, "A setting -1 out of range"),
+    ])
+    def test_bad_settings_raise_index_error(self, pair, sp, cond, msg):
+        with pytest.raises(IndexError, match=msg):
+            boxes.correlator(boxes.random_nonsignaling(3, 0), pair, sp, cond)
+
+    def test_unknown_pair(self):
+        with pytest.raises(ValueError, match="unknown pair 'AA'"):
+            boxes.correlator(uniform_box(), "AA", (0, 0))
 
 
 class TestNoSignaling:
@@ -187,6 +216,14 @@ class TestFromCorrelators:
         with pytest.raises(NegativeProbability):
             boxes.from_correlators(2, ab, ae, be)
 
+    def test_nan_correlator_rejected(self):
+        # the range check names the table, before make_box sees a nan entry
+        ab = np.zeros((2, 2))
+        ab[1, 0] = np.nan
+        z = np.zeros((2, 2))
+        with pytest.raises(ValueError, match=r"^ab components must lie in \[-1, 1\]$"):
+            boxes.from_correlators(2, ab, z, z)
+
     def test_roundtrip_on_reference_box(self):
         box = boxes.reference_box(1.2, 0.25)
         rebuilt = boxes.from_correlators(2, *boxes.two_body_tables(box))
@@ -271,6 +308,13 @@ class TestReferenceBox:
             assert np.abs(arr).max() == 0.0
         assert np.abs(boxes.three_body_table(box)).max() == 0.0
 
+    def test_table_bit_for_bit(self):
+        # the table as built with the PR signs written out by hand
+        ab = np.array([[1.0, -1.0], [1.0, 1.0]])
+        ae = np.array([[1.0, 0.469], [1.0, 0.469]])
+        want = boxes.from_correlators(2, ab, ae, ab * ae).table
+        assert boxes.reference_box(2.0, 0.469).table.tobytes() == want.tobytes()
+
     def test_infeasible_parameters_rejected(self):
         with pytest.raises(ValueError):
             boxes.reference_box(2.5, 0.0)
@@ -296,7 +340,7 @@ class TestCorrelatorVector:
     def test_from_array_roundtrip(self):
         box = boxes.random_nonsignaling(3, 9)
         vec = boxes.correlator_vector(box)
-        back = boxes.CorrelatorVector.from_array(3, vec.as_array())
+        back = boxes.CorrelatorVector(3, vec.as_array())
         assert np.allclose(back.as_array(), vec.as_array())
         # the component definitions, read straight off the two-body tables
         _, ae, be = boxes.two_body_tables(box)
@@ -306,6 +350,11 @@ class TestCorrelatorVector:
             be[1, 1], be[2, 1], be[2, 2], be[0, 2],    # <B_i E>_{A_i}, <B_i E>_{A_i+1}
             ae[0, 0], ae[0, 2],                        # <A_0 E>_{B_0}, <A_0 E>_{B_2}
             ae[1, 0], ae[1, 1], ae[2, 1], ae[2, 2]]    # <A_i E>_{B_i-1}, <A_i E>_{B_i}
+
+    def test_nan_component_rejected(self):
+        # every comparison with nan is false, so a "> 1" test let it through
+        with pytest.raises(ValueError, match=r"correlator components must lie in \[-1, 1\]"):
+            boxes.CorrelatorVector(2, [np.nan] * 6)
 
     def test_as_array_is_a_copy(self):
         vec = boxes.correlator_vector(boxes.reference_box(2.0, 0.3))
@@ -333,7 +382,7 @@ class TestCorrelatorVector:
         for call in (lambda: geometry.build_q_delta(3, 1.0, relaxed=True),
                      lambda: channels.family_index_pairs(3, relaxed=True),
                      lambda: boxes.correlator_vector(box, relaxed=True),
-                     lambda: boxes.CorrelatorVector.from_array(3, np.zeros(12), relaxed=True)):
+                     lambda: boxes.CorrelatorVector(3, np.zeros(12), relaxed=True)):
             with pytest.raises(ValueError, match=msg):
                 call()
 

@@ -116,7 +116,7 @@ class TestCapacityGradient:
 
 class TestChannelFamilies:
     def test_all_zero_correlators(self):
-        vec = boxes.CorrelatorVector.from_array(2, np.zeros(6))
+        vec = boxes.CorrelatorVector(2, np.zeros(6))
         fam = channels.channels_from_correlators(vec)
         assert len(fam) == 3
         for _, ch in fam.channels:
@@ -128,7 +128,7 @@ class TestChannelFamilies:
         # alpha* = 0.4589374, common capacity 0.1577740
         a = 0.4589374
         arr = np.array([a, -a, 1.0, a, 1.0, a])
-        fam = channels.channels_from_correlators(boxes.CorrelatorVector.from_array(2, arr))
+        fam = channels.channels_from_correlators(boxes.CorrelatorVector(2, arr))
         caps = list(fam.capacities().values())
         assert caps == pytest.approx([0.1577740] * 3, abs=1e-4)
         for c in caps:
@@ -140,7 +140,7 @@ class TestChannelFamilies:
         arr = np.zeros(10)
         arr[4] = delta / 10.0
         arr[5] = -delta / 10.0
-        fam = channels.channels_from_correlators(boxes.CorrelatorVector.from_array(3, arr))
+        fam = channels.channels_from_correlators(boxes.CorrelatorVector(3, arr))
         caps = fam.capacities()
         want = 1.0 - binary_entropy((1.0 + delta / 10.0) / 2.0)
         assert caps["S^0_{B->AE}"] == pytest.approx(want, abs=1e-12)

@@ -89,6 +89,11 @@ def fractional_polytope(rng, dim, extra, denominators=(3, 7)):
     return rows
 
 
+def nonneg_rows(n):
+    """The rows -x_i <= 0, i = 0..n-1, that make every variable nonnegative."""
+    return [tuple(F(-int(i == j)) for j in range(n)) for i in range(n)]
+
+
 class TestExactLP:
     def test_feasible_with_witness(self):
         res = lp_feasible(equalities=[((F(1),), F(0))],
@@ -120,13 +125,12 @@ class TestExactLP:
             lp_feasible()
 
     def test_degenerate_vertex(self):
-        # classic degenerate vertex (Beale's cycling example)
+        # classic degenerate vertex (Beale's cycling example), x >= 0 as rows
         res = linprog_exact([F(-3, 4), F(150), F(-1, 50), F(6)],
                             A_ub=[(F(1, 4), F(-60), F(-1, 25), F(9)),
                                   (F(1, 2), F(-90), F(-1, 50), F(3)),
-                                  (F(0), F(0), F(1), F(0))],
-                            b_ub=[F(0), F(0), F(1)],
-                            nonneg=True)
+                                  (F(0), F(0), F(1), F(0))] + nonneg_rows(4),
+                            b_ub=[F(0), F(0), F(1)] + [F(0)] * 4)
         assert res.status == "optimal"
         assert res.value == F(-1, 20)
 
@@ -148,9 +152,10 @@ class TestExactLP:
             ub = [(row(n), F(int(rng.integers(-6, 7)), 3)) for _ in range(rng.integers(0, 6))]
             eq = [(row(n), F(int(rng.integers(-6, 7)), 3)) for _ in range(rng.integers(0, 2))]
             nonneg = bool(rng.integers(2))
-            res = linprog_exact(c, A_ub=[r for r, _ in ub], b_ub=[b for _, b in ub],
-                                A_eq=[r for r, _ in eq], b_eq=[b for _, b in eq],
-                                nonneg=nonneg)
+            signs = nonneg_rows(n) if nonneg else []
+            res = linprog_exact(c, A_ub=[r for r, _ in ub] + signs,
+                                b_ub=[b for _, b in ub] + [F(0)] * len(signs),
+                                A_eq=[r for r, _ in eq], b_eq=[b for _, b in eq])
             statuses.append(res.status)
 
             def highs(cost):
@@ -498,7 +503,7 @@ class TestBoxLPRows:
             assert (A_pos @ p27 <= b_pos + 1e-12).all()
             assert np.abs(A_eq @ p27).max() <= 1e-12
             assert np.array_equal(p27[list(phi)], boxes.correlator_vector(box).values)
-            assert abs(m_vec @ p27 - (monogamy.bell_value(box) + 2 * be[0, 0])) <= 1e-12
+            assert abs(m_vec @ p27 - (boxes.chained_bell_value(box) + 2 * be[0, 0])) <= 1e-12
 
 
 class TestCharacterization:

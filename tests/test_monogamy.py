@@ -8,7 +8,6 @@ from signalcap.monogamy import (
     SIGN_PATTERNS,
     StrictModeInapplicable,
     TripleInequality,
-    bell_value,
     generate_inequality_set,
     monogamy_lhs,
     triple_inequality_holds,
@@ -75,40 +74,41 @@ class TestTripleInequality:
 
 class TestBellValue:
     def test_pr_times_coin(self):
-        assert bell_value(boxes.pr_times_coin(), 2) == 4.0
+        assert boxes.chained_bell_value(boxes.pr_times_coin()) == 4.0
 
     def test_local_deterministic(self):
-        assert bell_value(boxes.local_deterministic(2, [1, 1], [1, 1], 1), 2) == 2.0
+        assert boxes.chained_bell_value(boxes.local_deterministic(2, [1, 1], [1, 1], 1)) == 2.0
 
     def test_uniform_any_m(self):
         for m in (2, 3, 4):
             box = boxes.make_box(m, np.full((m, m, 2, 2, 2), 1 / 8))
-            assert bell_value(box) == 0.0
-
-    def test_scenario_mismatch(self):
-        with pytest.raises(boxes.ScenarioMismatch):
-            bell_value(boxes.pr_times_coin(), 3)
+            assert boxes.chained_bell_value(box) == 0.0
 
     def test_symmetrization_invariance(self):
         for seed in range(50):
             box = boxes.random_nonsignaling(2, seed)
-            assert bell_value(boxes.symmetrize(box)) == pytest.approx(
-                bell_value(box), abs=1e-12)
+            assert boxes.chained_bell_value(boxes.symmetrize(box)) == pytest.approx(
+                boxes.chained_bell_value(box), abs=1e-12)
 
     def test_chained_classical_and_algebraic_bounds(self):
         for seed in range(50):
             box = boxes.random_nonsignaling(3, seed)
-            assert abs(bell_value(box)) <= 6.0 + 1e-9
+            assert abs(boxes.chained_bell_value(box)) <= 6.0 + 1e-9
 
 
 class TestMonogamyLhs:
     def test_pr_times_coin_saturates(self):
-        rep = monogamy_lhs(boxes.pr_times_coin(), 2)
+        rep = monogamy_lhs(boxes.pr_times_coin())
         assert rep.lhs == 4.0 and not rep.violated and rep.delta == 0.0
 
     def test_reference_box_maximal(self):
         rep = monogamy_lhs(boxes.reference_box(2.0, 0.469))
         assert rep.lhs == 6.0 and rep.delta == 2.0 and rep.violated
+
+    def test_relaxed_is_keyword_only(self):
+        # a positional second argument once meant m; it must not turn on relaxed
+        with pytest.raises(TypeError):
+            monogamy_lhs(boxes.pr_times_coin(), 2)
 
     def test_relaxed_equals_strict_for_reference_box(self):
         box = boxes.reference_box(1.2, 0.3)
@@ -230,7 +230,7 @@ class TestInequalitySets:
             rep = monogamy_lhs(box)
             assert rep.lhs <= 4.0 + 1e-9
             _, _, be = boxes.two_body_tables(box)
-            signed_lhs = bell_value(box) + 2.0 * be[:, 0].mean()
+            signed_lhs = boxes.chained_bell_value(box) + 2.0 * be[:, 0].mean()
             total = sum(monogamy.triple_value(box, member) for member in base.members)
             assert total == pytest.approx(signed_lhs, abs=1e-9)
             for s in sets:

@@ -193,6 +193,11 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             grid_oracle(1.0, step=0.2)
 
+    def test_refine_to_is_keyword_only(self):
+        # a positional third argument once meant m; it must not set refine_to
+        with pytest.raises(TypeError):
+            grid_oracle(1.0, 0.05, 2)
+
     def test_fixture_spot_check(self, golden_c_delta):
         assert grid_oracle(1.0, step=0.05) == pytest.approx(golden_c_delta[1.0], abs=2e-4)
 
