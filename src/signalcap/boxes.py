@@ -56,9 +56,9 @@ class TripartiteBox:
 
 def make_box(m, table) -> TripartiteBox:
     """Validate a probability table of shape (m, m, 2, 2, 2) and wrap it."""
-    m = int(m)
-    if m < 2:
+    if m != int(m) or m < 2:
         raise ValueError(f"need an integer number of settings m >= 2, got {m!r}")
+    m = int(m)
     t = np.asarray(table, dtype=float)
     want = (m, m, 2, 2, 2)
     if t.shape != want:

@@ -6,7 +6,10 @@ convex in the transition probabilities and a pointwise max of convex
 functions is convex, so the minimization is a convex program over a
 polytope; it is solved with a cutting-plane scheme certified by a
 lower/upper bound gap, and cross-checked by an independent grid search and
-by the one-parameter optimal family.
+by the one-parameter optimal family.  Each master LP of the cutting-plane
+loop goes to ``_highs.linprog``, which solves on scipy's bundled HiGHS core
+exactly what ``scipy.optimize.linprog(method="highs")`` would, minus its
+per-call wrapper.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import boxes, channels, geometry
+from ._highs import linprog
 from .channels import NoConvergence
 
 
@@ -82,8 +85,8 @@ def minimax_capacity(poly: geometry.HPolytope, pairs, tol: float = 1e-4,
     c_obj[-1] = 1.0
     base_A = np.hstack([A_ub, np.zeros((A_ub.shape[0], 1))])
     base_b = b_ub.copy()
-    eq_A = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))]) if len(A_eq) else None
-    bounds = [(-1.0, 1.0)] * dim + [(0.0, 1.0)]
+    eq_A = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
+    bounds = np.array([(-1.0, 1.0)] * dim + [(0.0, 1.0)])
 
     cut_rows = []
     cut_rhs = []
@@ -93,9 +96,7 @@ def minimax_capacity(poly: geometry.HPolytope, pairs, tol: float = 1e-4,
     for it in range(1, max_iter + 1):
         A = np.vstack([base_A] + cut_rows) if cut_rows else base_A
         b = np.concatenate([base_b] + cut_rhs) if cut_rhs else base_b
-        res = linprog(c_obj, A_ub=A, b_ub=b,
-                      A_eq=eq_A, b_eq=b_eq if eq_A is not None else None,
-                      bounds=bounds, method="highs")
+        res = linprog(c_obj, A, b, eq_A, b_eq, bounds)
         if not res.success:
             raise NoConvergence(it, best=(best_val, best_x),
                                 message=f"master LP failed: {res.message}")

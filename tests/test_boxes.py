@@ -66,6 +66,16 @@ class TestMakeBox:
         with pytest.raises(ValueError, match=r"^need an integer number of settings m >= 2, got 1$"):
             boxes.make_box(1, np.full((1, 1, 2, 2, 2), 1 / 8))
 
+    def test_non_integral_settings_count_rejected(self):
+        # int(2.9) would truncate to 2 and pass the m >= 2 test
+        with pytest.raises(ValueError, match=r"^need an integer number of settings m >= 2, got 2\.9$"):
+            boxes.make_box(2.9, np.full((2, 2, 2, 2, 2), 1 / 8))
+
+    @pytest.mark.parametrize("m", [2, np.int64(3)])
+    def test_integral_settings_count_accepted(self, m):
+        box = boxes.make_box(m, np.full((m, m, 2, 2, 2), 1 / 8))
+        assert box.m == m and type(box.m) is int
+
 
 class TestCorrelator:
     def test_uniform_box_all_zero(self):

@@ -1,0 +1,108 @@
+"""The master-LP adapter against scipy.optimize.linprog, its reference.
+
+signalcap._highs.linprog builds the model and options linprog(method="highs")
+builds and applies the same acceptance rule, so every master LP of a sweep
+must come back with the same success flag, the same x and the same objective
+to the last bit.
+"""
+import numpy as np
+import pytest
+import scipy.optimize
+from scipy.optimize._highspy import _core
+
+from signalcap import _highs, strength
+
+
+def _record_master_lps(monkeypatch, solves):
+    """Run the solves with strength.linprog wrapped; return every
+    (arguments, result) pair the Kelley loop saw."""
+    seen = []
+
+    def recording(*args):
+        res = _highs.linprog(*args)
+        seen.append((args, res))
+        return res
+
+    monkeypatch.setattr(strength, "linprog", recording)
+    for solve in solves:
+        solve()
+    return seen
+
+
+def test_master_lps_match_scipy_linprog_bitwise(monkeypatch):
+    solves = ([lambda d=d: strength.c_delta(d) for d in (0.0, 0.35, 0.9, 1.45, 2.0)]
+              + [lambda d=d: strength.chained_polytope_bound(3, d) for d in (0.5, 1.5)]
+              + [lambda d=d: strength.c_delta(d, relaxed=True) for d in (0.7, 1.8)])
+    seen = _record_master_lps(monkeypatch, solves)
+    assert len(seen) > 100
+    for (c, A_ub, b_ub, A_eq, b_eq, bounds), res in seen:
+        ref = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                                     bounds=bounds, method="highs")
+        assert res.success is bool(ref.success)
+        assert np.array_equal(res.x, ref.x)
+        assert res.fun == ref.fun
+
+
+def test_infeasible_lp_fails_with_highs_status():
+    # x0 <= -1 and x0 >= 1
+    res = _highs.linprog(np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]),
+                         np.zeros((0, 1)), np.zeros(0), np.array([(-2.0, 2.0)]))
+    assert res.success is False
+    assert res.x is None
+    status = _core._Highs().modelStatusToString(_core.HighsModelStatus.kInfeasible)
+    assert status in res.message
+
+
+def test_equality_rows_are_honoured():
+    # minimize -x0 - x1 with x0 + x1 = 1.5, x0 - x1 <= 0.5, both in [0, 1]
+    res = _highs.linprog(np.array([-1.0, -1.0]), np.array([[1.0, -1.0]]), np.array([0.5]),
+                         np.array([[1.0, 1.0]]), np.array([1.5]),
+                         np.array([(0.0, 1.0), (0.0, 1.0)]))
+    ref = scipy.optimize.linprog([-1.0, -1.0], A_ub=[[1.0, -1.0]], b_ub=[0.5],
+                                 A_eq=[[1.0, 1.0]], b_eq=[1.5], bounds=[(0, 1), (0, 1)],
+                                 method="highs")
+    assert res.success and ref.success
+    assert np.array_equal(res.x, ref.x) and res.fun == ref.fun == -1.5
+
+
+class TestFeasibilityCheck:
+    X = np.array([0.5, 0.25])
+    LB, UB = np.zeros(2), np.ones(2)
+
+    def test_accepts_point_within_tolerance(self):
+        assert _highs.feasible(self.X, 0.0, np.array([0.0, -0.5 * _highs.FEAS_TOL]),
+                               np.array([0.5 * _highs.FEAS_TOL]), self.LB, self.UB)
+
+    @pytest.mark.parametrize("x, slack, con", [
+        (X, np.array([0.1, -1e-3]), np.zeros(0)),        # an inequality row
+        (X, np.zeros(1), np.array([1e-3])),               # an equality row
+        (np.array([0.5, 1.001]), np.zeros(1), np.zeros(0)),   # a column bound
+    ])
+    def test_rejects_point_off_by_1e_3(self, x, slack, con):
+        assert not _highs.feasible(x, 0.0, slack, con, self.LB, self.UB)
+
+    @pytest.mark.parametrize("where", ["x", "fun", "slack", "con"])
+    def test_rejects_nan(self, where):
+        parts = {"x": self.X.copy(), "fun": 0.0, "slack": np.zeros(1), "con": np.zeros(1)}
+        if where == "fun":
+            parts["fun"] = np.nan
+        else:
+            parts[where][0] = np.nan
+        assert not _highs.feasible(parts["x"], parts["fun"], parts["slack"], parts["con"],
+                                   self.LB, self.UB)
+
+
+def test_pinned_highs_core_api():
+    """Every name of the bundled HiGHS core the adapter uses, and every option
+    it sets, so a scipy upgrade that moves one fails here first."""
+    for name in ("HighsDebugLevel", "HighsLp", "HighsModelStatus", "HighsOptions",
+                 "HighsStatus", "MatrixFormat", "_Highs", "kHighsInf", "simplex_constants"):
+        assert hasattr(_core, name), name
+    highs = _core._Highs()
+    for method in ("passOptions", "passModel", "run", "getModelStatus", "modelStatusToString",
+                   "getSolution", "getInfo", "getOptionType"):
+        assert callable(getattr(highs, method)), method
+    for name in _highs.OPTIONS:
+        status, _ = highs.getOptionType(name)
+        assert status == _core.HighsStatus.kOk, name
+    assert highs.passOptions(_highs._OPTIONS) == _core.HighsStatus.kOk
