@@ -23,6 +23,9 @@ COMMANDS=(
     "curve_m2_step0.5|-m signalcap.cli curve --m 2 --step 0.5"
     "curve_m2_step0.1|-m signalcap.cli curve --m 2 --step 0.1"
     "curve_m3_step0.1|-m signalcap.cli curve --m 3 --step 0.1"
+    # known failures: a master-LP iterate leaves the entropy domain (exit 2)
+    "curve_m2_step0.01|-m signalcap.cli curve --m 2 --step 0.01"
+    "curve_m3_step0.02|-m signalcap.cli curve --m 3 --step 0.02"
     "verify_appendix-a|-m signalcap.cli verify appendix-a"
     "verify_appendix-b|-m signalcap.cli verify appendix-b"
     "verify_minimal-set|-m signalcap.cli verify minimal-set"

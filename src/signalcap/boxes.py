@@ -393,14 +393,16 @@ def local_deterministic(m: int, a_signs, b_signs, e_sign: int) -> TripartiteBox:
 
 
 @lru_cache(maxsize=8)
-def _deterministic_index_table(m: int):
-    """Outcome-index table for every (A strategy, B strategy, E sign) triple."""
-    strategies = []
-    for a in itertools.product((0, 1), repeat=m):       # 0 means outcome +1
-        for b in itertools.product((0, 1), repeat=m):
-            for e in (0, 1):
-                strategies.append((a, b, e))
-    return strategies
+def _strategy_cells(m: int) -> np.ndarray:
+    """Flat indices of the m*m cells (i, j, a_i, b_j, e) that each local
+    deterministic strategy weighs, one row per strategy; strategies run over
+    A's outcome indices, then B's, then E's (0 means +1), lexicographically."""
+    signs = np.array(list(itertools.product((0, 1), repeat=m)))   # (2^m, m)
+    cells = (8 * np.arange(m * m).reshape(m, m) + 4 * signs[:, None, None, :, None]
+             + 2 * signs[None, :, None, None, :] + np.arange(2)[:, None, None])
+    cells = cells.reshape(-1, m * m)
+    cells.flags.writeable = False
+    return cells
 
 
 def random_nonsignaling(m: int = 2, seed=None) -> TripartiteBox:
@@ -413,14 +415,12 @@ def random_nonsignaling(m: int = 2, seed=None) -> TripartiteBox:
     where the monogamy bound is nearly saturated.
     """
     rng = np.random.default_rng(seed)
-    strategies = _deterministic_index_table(m)
-    weights = rng.dirichlet(np.full(len(strategies), 0.2))
-    t = np.zeros((m, m, 2, 2, 2))
-    for w, (a, b, e) in zip(weights, strategies):
-        for i in range(m):
-            for j in range(m):
-                t[i, j, a[i], b[j], e] += w
-    return make_box(m, t)
+    cells = _strategy_cells(m)
+    weights = rng.dirichlet(np.full(len(cells), 0.2))
+    t = np.zeros(8 * m * m)
+    # unbuffered and in strategy order: each cell sums its weights in order
+    np.add.at(t, cells, weights[:, None])
+    return make_box(m, t.reshape(m, m, 2, 2, 2))
 
 
 def reference_box(delta: float, x: float) -> TripartiteBox:

@@ -46,13 +46,29 @@ class BinaryChannel:
                 raise ValueError(f"transition probability {name}={v} outside [0, 1]")
 
 
-def _capacity_pq(p: float, q: float) -> float:
+def _tangent(p: float, q: float):
+    """C(p, q) and (dC/dp, dC/dq) from one entropy pair and one chord slope,
+    with the zero subgradient at the kink p = q.  Works on Python floats
+    (faster than numpy scalars, same bits) with Python's ``**`` (libm
+    ``pow``): numpy's array ``exp2`` rounds differently."""
+    p, q = float(p), float(q)
     if abs(p - q) < EPS_CAP:
-        return 0.0
+        return 0.0, 0.0, 0.0
     hp, hq = binary_entropy(p), binary_entropy(q)
     d = q - p
-    val = (p * hq - q * hp) / d + np.log2(1.0 + 2.0 ** ((hp - hq) / d))
-    return float(min(max(val, 0.0), 1.0))
+    s = (hp - hq) / d
+    val = (p * hq - q * hp) / d + np.log2(1.0 + 2.0 ** s)
+    q1 = 1.0 / (1.0 + 2.0 ** -s)            # optimal output P(Y=1)
+    pi = min(max((q1 - p) / d, 0.0), 1.0)   # optimal input P(X=1)
+    # log-odds log2((1 - u) / u), with u kept off 0 and 1
+    l1, lp, lq = [np.log2((1.0 - u) / u)
+                  for u in (min(max(v, 1e-300), 1.0 - 1e-16) for v in (q1, p, q))]
+    cap = float(min(max(val, 0.0), 1.0))
+    return cap, float((1.0 - pi) * (l1 - lp)), float(pi * (l1 - lq))
+
+
+def _capacity_pq(p: float, q: float) -> float:
+    return _tangent(p, q)[0]
 
 
 def capacity(ch: BinaryChannel) -> float:
@@ -76,27 +92,8 @@ def capacity_array(p, q):
 
 
 def capacity_gradient(ch: BinaryChannel):
-    """(dC/dp, dC/dq) from the optimal input/output distributions.
-
-    At p = q the capacity has a kink with minimum value 0; the zero
-    subgradient is returned there.
-    """
-    p, q = ch.p, ch.q
-    if abs(p - q) < EPS_CAP:
-        return 0.0, 0.0
-    hp, hq = binary_entropy(p), binary_entropy(q)
-    zeta = (hq - hp) / (q - p)
-    q1 = 1.0 / (1.0 + 2.0 ** zeta)          # optimal output P(Y=1)
-    pi = (q1 - p) / (q - p)                 # optimal input P(X=1)
-    pi = min(max(pi, 0.0), 1.0)
-
-    def logit2(u):
-        u = min(max(u, 1e-300), 1.0 - 1e-16)
-        return np.log2((1.0 - u) / u)
-
-    gp = (1.0 - pi) * (logit2(q1) - logit2(p))
-    gq = pi * (logit2(q1) - logit2(q))
-    return float(gp), float(gq)
+    """Tangent (C, dC/dp, dC/dq) of the capacity at the channel."""
+    return _tangent(ch.p, ch.q)
 
 
 def capacity_oracle(ch: BinaryChannel, iters: int = 200_000, tol: float = 1e-8) -> float:

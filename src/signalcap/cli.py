@@ -73,8 +73,9 @@ def cmd_curve(args) -> int:
     if not 0 < args.step <= 2.0:
         print(f"error: curve step must lie in (0, 2], got {args.step}", file=sys.stderr)
         return 2
-    if not 0 < args.tol < np.inf:
-        print("error: tolerances must be positive", file=sys.stderr)
+    # every capacity lies in [0, 1], so a bracket of width 1 says nothing
+    if not 0 < args.tol < 1:
+        print(f"error: --tol must lie in (0, 1), got {args.tol}", file=sys.stderr)
         return 2
     deltas = [round(k * args.step, 10) for k in range(int(round(2.0 / args.step)) + 1)]
     result = strength.curve(args.m, deltas, tol=args.tol)

@@ -41,27 +41,26 @@ class StrengthResult:
 # cutting-plane minimax solver
 
 def _family_eval(x, pairs):
-    """Capacities and coordinate-space gradients of every channel at x.
+    """Capacities of every channel at x, and one tangent cut per channel:
+    C(c) >= G[k].c + off[k] in coordinate space.
 
-    Gradients are taken at a point nudged 1e-9 inside the box so the tangent
-    cuts stay finite at correlator values +-1; the cut then under-estimates
-    the true max everywhere, which is all the lower bound needs.
+    The tangents are taken at a point nudged 1e-9 inside the box so the cuts
+    stay finite at correlator values +-1; a cut then under-estimates the
+    true max everywhere, which is all the lower bound needs.
     """
-    caps = []
-    cuts = []
     x = np.asarray(x, dtype=float)
     xn = np.clip(x, -1.0 + 2e-9, 1.0 - 2e-9)
-    for _, ix, iy in pairs:
-        p, q = (1.0 + x[ix]) / 2.0, (1.0 + x[iy]) / 2.0
-        caps.append(channels._capacity_pq(p, q))
-        pn, qn = (1.0 + xn[ix]) / 2.0, (1.0 + xn[iy]) / 2.0
-        cn = channels._capacity_pq(pn, qn)
-        gp, gq = channels.capacity_gradient(channels.BinaryChannel(pn, qn))
-        g = np.zeros(x.size)
-        g[ix] = gp / 2.0
-        g[iy] = gq / 2.0
-        cuts.append((g, cn - g @ xn))   # tangent: C(c) >= g.c + offset
-    return np.array(caps), cuts
+    caps = np.empty(len(pairs))
+    G = np.zeros((len(pairs), x.size))
+    off = np.empty(len(pairs))
+    for k, (_, ix, iy) in enumerate(pairs):
+        caps[k] = channels._capacity_pq((1.0 + x[ix]) / 2.0, (1.0 + x[iy]) / 2.0)
+        cn, gp, gq = channels.capacity_gradient(
+            channels.BinaryChannel((1.0 + xn[ix]) / 2.0, (1.0 + xn[iy]) / 2.0))
+        G[k, ix] = gp / 2.0
+        G[k, iy] = gq / 2.0
+        off[k] = cn - G[k] @ xn
+    return caps, G, off
 
 
 def minimax_capacity(poly: geometry.HPolytope, pairs, tol: float = 1e-4,
@@ -83,20 +82,21 @@ def minimax_capacity(poly: geometry.HPolytope, pairs, tol: float = 1e-4,
     nvar = dim + 1   # coordinates plus epigraph variable t
     c_obj = np.zeros(nvar)
     c_obj[-1] = 1.0
-    base_A = np.hstack([A_ub, np.zeros((A_ub.shape[0], 1))])
-    base_b = b_ub.copy()
     eq_A = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
     bounds = np.array([(-1.0, 1.0)] * dim + [(0.0, 1.0)])
 
-    cut_rows = []
-    cut_rhs = []
+    # one inequality matrix: the polytope's rows, then room for every cut
+    # row (g, -1) <= -off; the master LP reads its first `rows` rows
+    rows = len(b_ub)
+    A = np.zeros((rows + max_iter * len(pairs), nvar))
+    A[:rows, :dim] = A_ub
+    A[rows:, -1] = -1.0
+    b = np.concatenate([b_ub, np.zeros(max_iter * len(pairs))])
     best_val = np.inf
     best_x = None
     lower = 0.0
     for it in range(1, max_iter + 1):
-        A = np.vstack([base_A] + cut_rows) if cut_rows else base_A
-        b = np.concatenate([base_b] + cut_rhs) if cut_rhs else base_b
-        res = linprog(c_obj, A, b, eq_A, b_eq, bounds)
+        res = linprog(c_obj, A[:rows], b[:rows], eq_A, b_eq, bounds)
         if not res.success:
             raise NoConvergence(it, best=(best_val, best_x),
                                 message=f"master LP failed: {res.message}")
@@ -105,16 +105,15 @@ def minimax_capacity(poly: geometry.HPolytope, pairs, tol: float = 1e-4,
         if symmetrize_idx is not None:
             i, j = symmetrize_idx
             x[i] = x[j] = 0.5 * (x[i] + x[j])
-        caps, cuts = _family_eval(x, pairs)
+        caps, G, off = _family_eval(x, pairs)
         f = float(caps.max())
         if f < best_val:
             best_val, best_x = f, x
         if best_val - lower <= tol:
             return best_val, best_x, best_val - lower, it
-        for g, off in cuts:
-            row = np.concatenate([g, [-1.0]])
-            cut_rows.append(row[None, :])
-            cut_rhs.append(np.array([-off]))
+        A[rows:rows + len(off), :dim] = G
+        b[rows:rows + len(off)] = -off
+        rows += len(off)
     raise NoConvergence(max_iter, best=(best_val, best_x))
 
 
@@ -239,6 +238,7 @@ def _grid_refine(center, delta, step, refine_to):
     and point.  Works on the raw six-dimensional grid, no structure used."""
     rows = geometry.polytope_float(geometry.build_q_delta(2, delta))[0:2]
     A_ub, b_ub = rows
+    pairs = channels.family_index_pairs(2)
     best_val, best_pt = np.inf, None
     c = np.asarray(center, dtype=float)
     cur = step
@@ -251,10 +251,8 @@ def _grid_refine(center, delta, step, refine_to):
         pts = pts[feas]
         if pts.size:
             p = (1.0 + pts) / 2.0
-            f = np.maximum(
-                channels.capacity_array(p[:, 2], p[:, 3]),
-                np.maximum(channels.capacity_array(p[:, 4], p[:, 5]),
-                           channels.capacity_array(p[:, 0], p[:, 1])))
+            f = np.max([channels.capacity_array(p[:, ix], p[:, iy])
+                        for _, ix, iy in pairs], axis=0)
             k = int(f.argmin())
             if f[k] < best_val:
                 best_val, best_pt = float(f[k]), pts[k]

@@ -266,6 +266,21 @@ class TestCanonicalBoxes:
             rep = monogamy.monogamy_lhs(boxes.random_nonsignaling(2, seed))
             assert rep.lhs <= 4.0 + 1e-9
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_random_nonsignaling_matches_strategy_loop(self, m):
+        # reference: add each deterministic strategy's weight cell by cell,
+        # strategies in (A signs, B signs, E sign) lexicographic order
+        strategies = list(itertools.product(itertools.product((0, 1), repeat=m),
+                                            itertools.product((0, 1), repeat=m), (0, 1)))
+        for seed in range(100):
+            weights = np.random.default_rng(seed).dirichlet(np.full(len(strategies), 0.2))
+            t = np.zeros((m, m, 2, 2, 2))
+            for w, (a, b, e) in zip(weights, strategies):
+                for i in range(m):
+                    for j in range(m):
+                        t[i, j, a[i], b[j], e] += w
+            assert boxes.random_nonsignaling(m, seed).table.tobytes() == t.tobytes()
+
     def test_pr_times_coin_chained_m3(self):
         box = boxes.pr_times_coin(3)
         assert boxes.chained_bell_value(box) == 6.0

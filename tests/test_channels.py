@@ -104,14 +104,94 @@ class TestCapacityGradient:
             p, q = rng.uniform(0.05, 0.95, 2)
             if abs(p - q) < 1e-3:
                 continue
-            gp, gq = channels.capacity_gradient(BinaryChannel(p, q))
+            _, gp, gq = channels.capacity_gradient(BinaryChannel(p, q))
             fd_p = (channels._capacity_pq(p + h, q) - channels._capacity_pq(p - h, q)) / (2 * h)
             fd_q = (channels._capacity_pq(p, q + h) - channels._capacity_pq(p, q - h)) / (2 * h)
             assert gp == pytest.approx(fd_p, abs=1e-5)
             assert gq == pytest.approx(fd_q, abs=1e-5)
 
     def test_zero_at_diagonal(self):
-        assert channels.capacity_gradient(BinaryChannel(0.3, 0.3)) == (0.0, 0.0)
+        assert channels.capacity_gradient(BinaryChannel(0.3, 0.3)) == (0.0, 0.0, 0.0)
+
+
+# The separate value and gradient bodies that the shared closed form replaced,
+# frozen as the bitwise reference: the solver's iterates and cuts, hence its
+# outputs, depend on every bit of both.
+def _reference_capacity(p, q):
+    if abs(p - q) < channels.EPS_CAP:
+        return 0.0
+    hp, hq = binary_entropy(p), binary_entropy(q)
+    d = q - p
+    val = (p * hq - q * hp) / d + np.log2(1.0 + 2.0 ** ((hp - hq) / d))
+    return float(min(max(val, 0.0), 1.0))
+
+
+def _reference_gradient(p, q):
+    if abs(p - q) < channels.EPS_CAP:
+        return 0.0, 0.0
+    hp, hq = binary_entropy(p), binary_entropy(q)
+    zeta = (hq - hp) / (q - p)
+    q1 = 1.0 / (1.0 + 2.0 ** zeta)
+    pi = (q1 - p) / (q - p)
+    pi = min(max(pi, 0.0), 1.0)
+
+    def logit2(u):
+        u = min(max(u, 1e-300), 1.0 - 1e-16)
+        return np.log2((1.0 - u) / u)
+
+    gp = (1.0 - pi) * (logit2(q1) - logit2(p))
+    gq = pi * (logit2(q1) - logit2(q))
+    return float(gp), float(gq)
+
+
+def _edge_pairs():
+    eps = channels.EPS_CAP
+    nudged = [(1.0 + (1.0 - 2e-9)) / 2.0, (1.0 - (1.0 - 2e-9)) / 2.0]
+    special = [0.0, 1.0, 1e-300, 1.0 - 1e-16, 0.5, 0.3] + nudged
+    pairs = [(p, q) for p in special for q in special]
+    for p in (0.3, 0.5, 1e-300, 1.0 - 1e-16) + tuple(nudged):
+        for gap in (0.5 * eps, 0.999 * eps, eps, 1.001 * eps, 2.0 * eps):
+            pairs += [(p, p + gap), (p, p - gap), (p + gap, p), (p - gap, p)]
+    return [(p, q) for p, q in pairs if 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0]
+
+
+class TestClosedFormBitwise:
+    @staticmethod
+    def _assert_same_bits(p, q):
+        want_c = _reference_capacity(p, q)
+        want_g = _reference_gradient(p, q)
+        c, gp, gq = channels.capacity_gradient(BinaryChannel(p, q))
+        assert channels._capacity_pq(p, q) == c == want_c, (p, q)
+        assert (gp, gq) == want_g, (p, q)
+
+    def test_seeded_pairs(self):
+        # floats and numpy scalars: the solver passes the latter
+        rng = np.random.default_rng(14)
+        for p, q in rng.uniform(0.0, 1.0, (2000, 2)):
+            self._assert_same_bits(p, q)
+            self._assert_same_bits(float(p), float(q))
+        # nearly useless channels, as at the solver's optimum
+        for p, step in zip(rng.uniform(0.0, 1.0, 500), 10.0 ** rng.uniform(-12, -2, 500)):
+            self._assert_same_bits(p, min(p + step, 1.0))
+
+    def test_edge_pairs(self):
+        pairs = _edge_pairs()
+        assert len(pairs) > 100
+        for p, q in pairs:
+            self._assert_same_bits(p, q)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_entropy_domain_error_unchanged(self, swap):
+        # a master-LP iterate just outside [0, 1] (curve --m 2 --step 0.01)
+        p, q = 1.0000000013923993, 0.75
+        if swap:
+            p, q = q, p
+        with pytest.raises(ValueError) as want:
+            _reference_capacity(p, q)
+        assert "got 1.0000000013923993" in str(want.value)
+        with pytest.raises(ValueError) as got:
+            channels._capacity_pq(p, q)
+        assert str(got.value) == str(want.value)
 
 
 class TestChannelFamilies:

@@ -129,7 +129,16 @@ class TestCurve:
         assert main(["curve", "--m", "2", "--step", "1.0", f"--tol={tol}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: tolerances must be positive\n"
+        assert captured.err == f"error: --tol must lie in (0, 1), got {float(tol)}\n"
+
+    @pytest.mark.parametrize("tol", ["1", "1e300"])
+    def test_vacuous_tol_exits_2(self, tol, capsys):
+        # every capacity lies in [0, 1]: a bracket this wide accepts the first
+        # iterate, which printed c_delta 1.000000 at delta 0 (true value 0)
+        assert main(["curve", "--m", "2", "--step", "2", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --tol must lie in (0, 1), got {float(tol)}\n"
 
     def test_solver_failure_exits_3_with_partial_file(self, tmp_path, monkeypatch):
         from signalcap import strength
