@@ -6,8 +6,8 @@ Library layout:
              expression, no-signaling checks, canonical boxes, box JSON IO
 - monogamy:  monogamy functionals, triple-inequality families and the
              minimal-set search
-- channels:  binary asymmetric channels, capacity (closed form and
-             iterative), channel families of a box
+- channels:  binary asymmetric channels, capacity (closed form and a
+             certified bisection oracle), channel families of a box
 - geometry:  exact-rational polytopes, vertex enumeration, exact LP
              feasibility, box-preimage characterization checks; the exact
              work runs on one engine, the integer double description of
@@ -47,6 +47,7 @@ from .channels import (
     binary_entropy,
     capacity,
     capacity_oracle,
+    capacity_oracle_array,
     channels_from_box,
     channels_from_correlators,
 )

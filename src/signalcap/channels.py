@@ -96,40 +96,74 @@ def capacity_gradient(ch: BinaryChannel):
     return _tangent(ch.p, ch.q)
 
 
-def capacity_oracle(ch: BinaryChannel, iters: int = 200_000, tol: float = 1e-8) -> float:
-    """Capacity by alternating maximization of the mutual information.
+def capacity_oracle_array(p, q, iters: int = 200, tol: float = 1e-8):
+    """Capacities of the channels (p[k], q[k]) by bisection on the input law,
+    independent of the closed form.
 
-    Independent of the closed form: iterates the input distribution and stops
-    once the standard lower/upper capacity bracket is narrower than tol, so
-    the returned midpoint is within tol of the true capacity.  Convergence is
-    slow for nearly useless channels (p close to q), hence the generous
-    iteration budget.
+    The mutual information I(pi) of input law pi = P(X=1) is concave with
+    slope D(W_1 || o_pi) - D(W_0 || o_pi), where o_pi is the output law and
+    W_x the row of input x, so each channel bisects pi on the sign of that
+    slope.  Every evaluated pi certifies I(pi) <= C <= max_x D(W_x || o_pi);
+    a channel keeps its best such bracket and stops at the first step where
+    the bracket is narrower than tol, returning its midpoint (clipped at 0),
+    which is then within tol of C.  Channels never mix, so a channel's result
+    does not depend on the batch it comes in.  Arrays broadcast; the result
+    has their shape.
+
+    Raises ValueError naming the first entry of p or q that is NaN or lies
+    outside [0, 1], and NoConvergence when a channel's bracket is still as
+    wide as tol after iters bisection steps; its ``best`` holds each
+    converged channel's result and each other channel's certified lower
+    bound.
     """
-    p, q = ch.p, ch.q
-    log2 = np.log2
-    r0 = r1 = 0.5
-    lower = 0.0
-    for _ in range(iters):
-        o1 = r0 * p + r1 * q
-        o0 = 1.0 - o1
-        d0 = 0.0
-        if p > 0.0:
-            d0 += p * log2(p / o1)
-        if p < 1.0:
-            d0 += (1.0 - p) * log2((1.0 - p) / o0)
-        d1 = 0.0
-        if q > 0.0:
-            d1 += q * log2(q / o1)
-        if q < 1.0:
-            d1 += (1.0 - q) * log2((1.0 - q) / o0)
-        lower = r0 * d0 + r1 * d1
-        upper = max(d0, d1)
-        if upper - lower < tol:
-            return max(0.5 * (lower + upper), 0.0)
-        w0 = r0 * 2.0 ** d0
-        w1 = r1 * 2.0 ** d1
-        r0, r1 = w0 / (w0 + w1), w1 / (w0 + w1)
-    raise NoConvergence(iters, best=lower)
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    shape = p.shape
+    for name, v in (("p", p), ("q", q)):
+        bad = np.argwhere(~((v >= 0.0) & (v <= 1.0)))
+        if len(bad):
+            k = tuple(int(i) for i in bad[0])
+            entry = name + (f"[{', '.join(map(str, k))}]" if k else "")
+            raise ValueError(f"transition probability {entry}={v[k]} outside [0, 1]")
+    ones = np.stack([p.ravel(), q.ravel()])    # P(Y=1 | X=x), one row per x
+    zeros = 1.0 - ones                         # P(Y=0 | X=x)
+    n = ones.shape[1]
+    out = np.empty(n)
+    todo = np.arange(n)                        # channels still bisecting
+    pi = np.full(n, 0.5)                       # dyadic, so every step is exact
+    lower, upper = np.zeros(n), np.full(n, np.inf)
+    step = 0.5
+    # 0 log 0 = 0: the masked terms may divide by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(iters):
+            if not n:
+                break
+            # both output probabilities as mixtures, so neither loses its
+            # small value to 1 - o
+            o1 = (1.0 - pi) * ones[0] + pi * ones[1]
+            o0 = (1.0 - pi) * zeros[0] + pi * zeros[1]
+            d0, d1 = (np.where(ones > 0.0, ones * np.log2(ones / o1), 0.0)
+                      + np.where(zeros > 0.0, zeros * np.log2(zeros / o0), 0.0))
+            lower = np.maximum(lower, (1.0 - pi) * d0 + pi * d1)
+            upper = np.minimum(upper, np.maximum(d0, d1))
+            done = upper - lower < tol
+            step *= 0.5
+            pi = pi + np.where(d1 > d0, step, -step)
+            if done.any():
+                out[todo[done]] = np.maximum(0.5 * (lower[done] + upper[done]), 0.0)
+                left = ~done
+                todo, pi, lower, upper = (a[left] for a in (todo, pi, lower, upper))
+                ones, zeros = ones[:, left], zeros[:, left]
+                n = todo.size
+    if n:
+        out[todo] = lower
+        raise NoConvergence(iters, best=out.reshape(shape))
+    return out.reshape(shape)
+
+
+def capacity_oracle(ch: BinaryChannel, iters: int = 200, tol: float = 1e-8) -> float:
+    """Capacity of one channel by ``capacity_oracle_array``, within tol of
+    the true capacity; iters counts bisection steps."""
+    return float(capacity_oracle_array(ch.p, ch.q, iters, tol))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,55 @@ class TestCapacityOracle:
     def test_raises_when_budget_too_small(self):
         with pytest.raises(channels.NoConvergence):
             channels.capacity_oracle(BinaryChannel(0.07356, 0.07033), iters=10, tol=1e-12)
+
+    def test_array_within_tol_of_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+
+        def exact(p, q):
+            """The closed form at 50 digits, from the binary values of p, q."""
+            with mpmath.workdps(50):
+                p, q = mpmath.mpf(p), mpmath.mpf(q)
+                if p == q:
+                    return mpmath.mpf(0)
+
+                def h(u):
+                    return 0 if u in (0, 1) else -u * mpmath.log(u, 2) - (1 - u) * mpmath.log(1 - u, 2)
+
+                s = (h(p) - h(q)) / (q - p)
+                return ((p * h(q) - q * h(p)) / (q - p)
+                        + mpmath.log1p(mpmath.power(2, s)) / mpmath.log(2))
+
+        rng = np.random.default_rng(15)
+        # 20 gaps in each decade of 10^-12 .. 1, at random positions
+        gaps = 10.0 ** (np.repeat(np.arange(-12, 0), 20) + rng.uniform(0, 1, 240))
+        p = rng.uniform(0, 1, 240) * (1.0 - gaps)
+        edges = [0.0, 1.0, 1e-300, 1.0 - 1e-16]
+        pairs = (list(zip(p, p + gaps)) + list(zip(p + gaps, p))
+                 + [(a, b) for a in edges for b in edges]
+                 + [(0.3, 0.3), (0.5, 0.5)]
+                 # the closed form is 6.1e-5 bits off here
+                 + [(0.5965687718105056, 0.5965687718116824)])
+        tol = 1e-8
+        got = channels.capacity_oracle_array(*np.array(pairs).T, tol=tol)
+        for (a, b), c in zip(pairs, got):
+            assert abs(c - exact(a, b)) <= tol, (a, b)
+
+    def test_array_equals_single_channel_calls(self):
+        p, q = np.random.default_rng(16).uniform(0, 1, (2, 1000))
+        batch = channels.capacity_oracle_array(p, q)
+        assert batch.shape == (1000,)
+        for k in range(1000):
+            assert batch[k] == channels.capacity_oracle(BinaryChannel(p[k], q[k])), k
+
+    @pytest.mark.parametrize("p, q, message", [
+        ([0.2, np.nan], 0.3, "p[1]=nan"),
+        ([0.2, 0.4], [0.1, 1.5], "q[1]=1.5"),
+        (-0.5, 0.3, "p=-0.5"),
+        ([[0.2, 0.3]], [[0.1], [-1e-300]], "q[1, 0]=-1e-300"),
+    ])
+    def test_array_rejects_bad_entries(self, p, q, message):
+        with pytest.raises(ValueError, match=re.escape(f"transition probability {message} outside")):
+            channels.capacity_oracle_array(p, q)
 
 
 class TestCapacityGradient:

@@ -4,8 +4,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from signalcap import boxes
-from signalcap.cli import main
+from signalcap import boxes, channels
+from signalcap.cli import main, sample_capacity_oracle
 
 DATA = pathlib.Path(__file__).parents[1] / "data"
 
@@ -211,6 +211,31 @@ verify appendix-b:
         for line, prefix in zip(lines[1:], prefixes):
             assert line.startswith(prefix)
         assert lines[3].endswith(" <= 1e-6, symmetries hold: True")
+
+    def test_negative_seed_exits_2_before_the_header(self, capsys):
+        assert main(["verify", "properties", "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+    def test_oracle_sampler_keeps_the_seed_stream(self, monkeypatch):
+        # every --seed must keep drawing the same convexity samples after the
+        # oracle sampler: one (n, 2) draw equals n draws of two
+        seen = []
+        array = channels.capacity_oracle_array
+
+        def recording(p, q):
+            seen.append((p.copy(), q.copy()))
+            return array(p, q)
+
+        monkeypatch.setattr(channels, "capacity_oracle_array", recording)
+        rng, loop = np.random.default_rng(5), np.random.default_rng(5)
+        sample_capacity_oracle(rng, 40)
+        want = np.array([loop.uniform(0, 1, 2) for _ in range(40)])
+        assert len(seen) == 1
+        assert np.array_equal(seen[0][0], want[:, 0])
+        assert np.array_equal(seen[0][1], want[:, 1])
+        assert rng.bit_generator.state == loop.bit_generator.state
 
 
 class TestDumpPolytope:
