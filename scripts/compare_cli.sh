@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Byte-compare the CLI and the demos of two source trees.
+# Byte-compare the CLI, the demos and the full-precision grid oracle of two
+# source trees.
 #
 #   scripts/compare_cli.sh PARENT_DIR CHANGE_DIR
 #
@@ -49,6 +50,15 @@ for demo in "$1"/demos/*.py; do
     name=$(basename "$demo" .py)
     COMMANDS+=("demo_$name|demos/$name.py")
 done
+# the grid oracle at full precision (demo 03 prints 6 decimals only), from a
+# script in OUT so that both trees run the same file
+cat >"$OUT/oracle_bits.py" <<'EOF'
+from signalcap import strength
+
+for k in range(21):
+    print(repr(strength.grid_oracle(k / 10)))
+EOF
+COMMANDS+=("oracle_bits|$OUT/oracle_bits.py")
 
 run_tree() {   # run_tree TREE DEST
     local tree dest entry name args

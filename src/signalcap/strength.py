@@ -14,6 +14,7 @@ per-call wrapper.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,30 +234,65 @@ def c2_analytic() -> C2Report:
 # ---------------------------------------------------------------------------
 # independent grid oracle (m = 2)
 
-def _grid_refine(center, delta, step, refine_to):
+# Elements (pair0 rows times pair1 columns) that the global scan evaluates
+# per block of pair0 rows: enough rows to spread the per-row Python work over,
+# few enough that a block's temporaries stay small.
+_SCAN_BLOCK_ELEMS = 1 << 14
+
+
+def _summed_rows(delta):
+    """Float rows (A, b) of the summed violation constraints A x <= b of
+    Q_delta(2), without its box rows +-x_k <= 1."""
+    A_ub, b_ub, _, _ = geometry.polytope_float(geometry.build_q_delta(2, delta))
+    summed = np.abs(A_ub).sum(axis=1) > 1      # a box row has one unit coefficient
+    return A_ub[summed], b_ub[summed]
+
+
+def _grid_refine(center, rows, step, refine_to):
     """Shrinking local scans around a feasible incumbent; returns best value
-    and point.  Works on the raw six-dimensional grid, no structure used."""
-    rows = geometry.polytope_float(geometry.build_q_delta(2, delta))[0:2]
-    A_ub, b_ub = rows
+    and point.
+
+    Each level scans the 5^6 tensor grid whose axis k is
+    c[k] + {-1, -1/2, 0, 1/2, 1} * cur clipped to [-1, 1], with cur halving
+    from step while it exceeds refine_to.  A channel reads two axes, so its
+    capacities are one 5 x 5 table broadcast over the other four.  A grid
+    point is feasible when each row of rows = _summed_rows(delta), its
+    left-hand side added up over the axes in the order k = 0..5, exceeds its
+    bound by at most 1e-12; the box rows +-x_k <= 1 hold exactly on the
+    clipped axes.  Ties go to the first point in row-major order (that of
+    meshgrid(indexing="ij")), and the centre moves only on a strict
+    improvement.
+    """
+    A, b = rows
     pairs = channels.family_index_pairs(2)
+    ix = [i for _, i, _ in pairs]
+    iy = [j for _, _, j in pairs]
+    # a channel's 5 x 5 table reshaped onto the grid; its x index precedes its y
+    table_shapes = [[5 if k in (i, j) else 1 for k in range(6)] for i, j in zip(ix, iy)]
     best_val, best_pt = np.inf, None
     c = np.asarray(center, dtype=float)
     cur = step
     offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     while cur > refine_to:
-        axes = [np.clip(c[k] + offsets * cur, -1.0, 1.0) for k in range(6)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        feas = (A_ub @ pts.T - b_ub[:, None]).max(axis=0) <= 1e-12
-        pts = pts[feas]
-        if pts.size:
-            p = (1.0 + pts) / 2.0
-            f = np.max([channels.capacity_array(p[:, ix], p[:, iy])
-                        for _, ix, iy in pairs], axis=0)
-            k = int(f.argmin())
-            if f[k] < best_val:
-                best_val, best_pt = float(f[k]), pts[k]
-                c = pts[k]
+        axes = np.clip(c[:, None] + offsets * cur, -1.0, 1.0)      # axes[k]: axis k
+        p = (1.0 + axes) / 2.0
+        tables = channels.capacity_array(p[ix, :, None], p[iy, None, :])
+        f = functools.reduce(np.maximum, [t.reshape(shape)
+                                          for t, shape in zip(tables, table_shapes)])
+        # each row's sum grows with the newest axis outermost, so numpy's inner
+        # loops stay long; y + s == s + y exactly, so the sum is the one taken
+        # over k = 0..5, and .T turns the reversed axes back
+        excess = None
+        for row, bound in zip(A, b):
+            lhs = row[0] * axes[0]
+            for k in range(1, 6):
+                lhs = np.add.outer(row[k] * axes[k], lhs)
+            excess = lhs - bound if excess is None else np.maximum(excess, lhs - bound)
+        f[(excess > 1e-12).T] = np.inf
+        k = int(f.argmin())
+        if f.flat[k] < best_val:
+            best_val = float(f.flat[k])
+            best_pt = c = axes[np.arange(6), np.unravel_index(k, f.shape)]
         cur *= 0.5
     return best_val, best_pt
 
@@ -270,6 +306,15 @@ def _global_grid_scan(delta: float, step: float):
         min max(C0, C1, CA) = min_B max(C0, C1, min_{A feasible} CA)
     and pairs are skipped only when max(C0, C1) already exceeds the running
     grid incumbent, which cannot change the minimum.
+
+    Ties: the returned tuple is the first whose value equals the minimum in
+    the order (rank of pair0 by C0, equal C0 by index; index of pair1).
+    Pair0 rows go in blocks of about _SCAN_BLOCK_ELEMS elements, pruned by
+    the incumbent from before the block, and pair1 columns with C1 >= that
+    incumbent are left out.  The stale incumbent lets in only pairs no
+    better than the final minimum, and a tie with an earlier pair loses, so
+    the first minimum of a block in row-major order is the one a row-by-row
+    scan would keep.
     """
     n = int(round(2.0 / step))
     step = 2.0 / n
@@ -277,47 +322,51 @@ def _global_grid_scan(delta: float, step: float):
     prob = (1.0 + g) / 2.0
     cap2d = channels.capacity_array(prob[:, None], prob[None, :])   # C[(ix, iy)]
 
-    # A-channel capacities on the rotated integer lattice:
-    #   IU = ix - iy + n in [0, 2n], IV = ix + iy in [0, 2n]
+    # sparse table for 2-d range minima: table (a, b) holds the minima over
+    # the 2^a x 2^b index boxes of the A-channel capacities; the tables lie
+    # end to end in one flat buffer, table (a, b) from offset[a, b] on, in
+    # rows of width[b]
     nn = 2 * n + 1
-    ca = np.full((nn, nn), np.inf, dtype=float)
+    lognn = int(np.floor(np.log2(nn))) + 1
+    span = 1 << np.arange(lognn)
+    width = nn - span + 1
+    sizes = np.outer(width, width)
+    offset = np.concatenate(([0], np.cumsum(sizes.ravel())[:-1])).reshape(sizes.shape)
+    flat = np.empty(int(sizes.sum()), dtype=float)
+
+    def table(a, b):
+        return flat[offset[a, b]: offset[a, b] + sizes[a, b]].reshape(width[a], width[b])
+
+    # level (0, 0): the A-channel capacities on the rotated integer lattice
+    #   IU = ix - iy + n in [0, 2n], IV = ix + iy in [0, 2n]
+    ca = table(0, 0)
+    ca.fill(np.inf)
     ix, iy = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
     ca[(ix - iy + n).ravel(), (ix + iy).ravel()] = cap2d.ravel()
-
-    # sparse table for 2-d range minima
-    lognn = int(np.floor(np.log2(nn))) + 1
-    spt = [[None] * lognn for _ in range(lognn)]
-    spt[0][0] = ca
     for a in range(lognn):
         for b in range(lognn):
             if a == 0 and b == 0:
                 continue
             if a:
-                prev = spt[a - 1][b]
+                prev = table(a - 1, b)
                 half = 1 << (a - 1)
-                spt[a][b] = np.minimum(prev[: prev.shape[0] - half], prev[half:])
+                np.minimum(prev[: prev.shape[0] - half], prev[half:], out=table(a, b))
             else:
-                prev = spt[a][b - 1]
+                prev = table(a, b - 1)
                 half = 1 << (b - 1)
-                spt[a][b] = np.minimum(prev[:, : prev.shape[1] - half], prev[:, half:])
+                np.minimum(prev[:, : prev.shape[1] - half], prev[:, half:], out=table(a, b))
+    level = np.floor(np.log2(np.arange(1, nn + 1))).astype(int)   # level[w - 1]: 2^level <= w
 
     def range_min(lu, hu, lv, hv):
         """Vectorized min of ca over index boxes [lu, hu] x [lv, hv]."""
-        au = np.floor(np.log2(hu - lu + 1)).astype(int)
-        av = np.floor(np.log2(hv - lv + 1)).astype(int)
-        out = np.empty(lu.shape, dtype=float)
-        for a in np.unique(au):
-            for b in np.unique(av):
-                mask = (au == a) & (av == b)
-                if not mask.any():
-                    continue
-                tab = spt[a][b]
-                u2 = hu[mask] - (1 << a) + 1
-                v2 = hv[mask] - (1 << b) + 1
-                out[mask] = np.minimum(
-                    np.minimum(tab[lu[mask], lv[mask]], tab[lu[mask], v2]),
-                    np.minimum(tab[u2, lv[mask]], tab[u2, v2]))
-        return out
+        a = level[hu - lu]
+        b = level[hv - lv]
+        base, w = offset[a, b], width[b]
+        top = base + lu * w
+        bottom = base + (hu - span[a] + 1) * w
+        right = hv - span[b] + 1
+        return np.minimum(np.minimum(flat[top + lv], flat[top + right]),
+                          np.minimum(flat[bottom + lv], flat[bottom + right]))
 
     # B-pair bookkeeping: for pair (ix, iy), d = ix - iy, s = ix + iy - n in
     # units of step; constraints on the A-pair in rotated units read
@@ -334,30 +383,29 @@ def _global_grid_scan(delta: float, step: float):
     eps = 1e-9
     incumbent = np.inf
     inc_b = None  # (pair0 flat index, pair1 flat index)
-    for flat0 in order0:
-        c0 = cvals[flat0]
-        if c0 >= incumbent:
-            break
-        d0, s0 = int(dvals[flat0]), int(svals[flat0])
-        lu = np.ceil(du - d0 - dvals - eps).astype(int)
-        hu = np.floor(s0 + svals - du + eps).astype(int)
-        lv = np.ceil(du - s0 - dvals - eps).astype(int)
-        hv = np.floor(d0 + svals - du + eps).astype(int)
-        np.clip(lu, -n, None, out=lu)
-        np.clip(hu, None, n, out=hu)
-        np.clip(lv, -n, None, out=lv)
-        np.clip(hv, None, n, out=hv)
-        m01 = np.maximum(c0, cvals)
+    start = 0
+    while start < cvals.size and cvals[order0[start]] < incumbent:
+        # a pair1 with C1 >= incumbent fails m01 < incumbent in every row
+        cols = np.flatnonzero(cvals < incumbent)
+        block = order0[start: start + max(1, _SCAN_BLOCK_ELEMS // cols.size)]
+        start += block.size
+        c0, d0, s0 = cvals[block, None], dvals[block, None], svals[block, None]
+        d1, s1 = dvals[cols], svals[cols]
+        lu = np.maximum(np.ceil(du - d0 - d1 - eps), -n)
+        hu = np.minimum(np.floor(s0 + s1 - du + eps), n)
+        lv = np.maximum(np.ceil(du - s0 - d1 - eps), -n)
+        hv = np.minimum(np.floor(d0 + s1 - du + eps), n)
+        m01 = np.maximum(c0, cvals[cols])
         cand = (lu <= hu) & (lv <= hv) & (m01 < incumbent)
         if not cand.any():
             continue
-        idx = np.nonzero(cand)[0]
-        amin = range_min(lu[idx] + n, hu[idx] + n, lv[idx] + n, hv[idx] + n)
-        f = np.maximum(m01[idx], amin)
+        amin = range_min(*(v[cand].astype(int) + n for v in (lu, hu, lv, hv)))
+        f = np.maximum(m01[cand], amin)
         k = int(f.argmin())
         if f[k] < incumbent:
             incumbent = float(f[k])
-            inc_b = (int(flat0), int(idx[k]))
+            row, col = divmod(int(np.flatnonzero(cand)[k]), cols.size)
+            inc_b = (int(block[row]), int(cols[col]))
 
     # recover the incumbent's coordinates
     if inc_b is None:
@@ -384,20 +432,26 @@ def grid_oracle(delta: float, step: float = 0.05, *, refine_to: float = 5e-5) ->
 
     Scans the full six-dimensional correlator grid at the given step,
     restricted to polytope members, then refines locally around the grid
-    incumbent (and around the optimal-family seed) with shrinking steps.
-    Only feasible points are ever evaluated, so the result upper-bounds the
-    true minimum and converges to it as step -> 0.
+    incumbent (and around the optimal-family seed) with shrinking steps
+    down to refine_to, which must be finite and positive.  Only feasible
+    points can win, so the result upper-bounds the true minimum and
+    converges to it as step -> 0.
     """
     if not 0 < step <= 0.05 + 1e-12:
         raise ValueError("step must lie in (0, 0.05]")
+    if not 0.0 <= delta <= 2.0:
+        raise ValueError("delta must lie in [0, 2]")
+    if not 0.0 < refine_to < np.inf:
+        raise ValueError(f"refine_to must be finite and positive, got {refine_to}")
     incumbent, point = _global_grid_scan(delta, step)
     seeds = []
     if point is not None:
         seeds.append(point)
     seeds.append(optimal_family(delta).witness.as_array())
+    rows = _summed_rows(delta)
     best = incumbent
     for seed in seeds:
-        val, _ = _grid_refine(seed, delta, step, refine_to)
+        val, _ = _grid_refine(seed, rows, step, refine_to)
         best = min(best, val)
     return float(best)
 

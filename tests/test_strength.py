@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -15,21 +16,96 @@ from signalcap.strength import (
 )
 
 
-def brute_force_grid_min(delta, step):
-    """Naive full-grid reference for the factored global scan."""
+def grid_max_capacity(pts):
+    """Largest of the three channel capacities at correlator points."""
+    p = (1.0 + np.asarray(pts)) / 2.0
+    return np.maximum(channels.capacity_array(p[..., 2], p[..., 3]),
+                      np.maximum(channels.capacity_array(p[..., 4], p[..., 5]),
+                                 channels.capacity_array(p[..., 0], p[..., 1])))
+
+
+def brute_force_grid_min(delta, step, below=np.inf):
+    """Naive full-grid reference for the factored global scan: the least
+    max-capacity over the feasible grid points whose three channels each have
+    capacity <= below.
+
+    With below = v the result is exactly v when v is the grid minimum, the
+    smaller true minimum when v is above it, and inf when v is below it, so
+    below = the scan's value keeps the comparison exact while the enumeration
+    shrinks to the channels that can matter.
+    """
     n = int(round(2.0 / step))
     g = -1.0 + step * np.arange(n + 1)
     A_ub, b_ub, _, _ = geometry.polytope_float(geometry.build_q_delta(2, delta))
-    pts = np.array(list(itertools.product(g, repeat=6)))
-    feas = (A_ub @ pts.T - b_ub[:, None]).max(axis=0) <= 1e-12
-    pts = pts[feas]
-    if not len(pts):
-        return np.inf
-    p = (1.0 + pts) / 2.0
-    f = np.maximum(channels.capacity_array(p[:, 2], p[:, 3]),
-                   np.maximum(channels.capacity_array(p[:, 4], p[:, 5]),
-                              channels.capacity_array(p[:, 0], p[:, 1])))
-    return float(f.min())
+    pairs = np.array(list(itertools.product(g, repeat=2)))
+    p = (1.0 + pairs) / 2.0
+    caps = channels.capacity_array(p[:, 0], p[:, 1])
+    pairs, caps = pairs[caps <= below], caps[caps <= below]
+    b0, b1 = (idx.ravel() for idx in np.indices((len(pairs), len(pairs))))
+    best = np.inf
+    for a_pair, a_cap in zip(pairs, caps):          # channel (0, 1), one at a time
+        pts = np.hstack([np.broadcast_to(a_pair, (b0.size, 2)), pairs[b0], pairs[b1]])
+        feas = (A_ub @ pts.T - b_ub[:, None]).max(axis=0) <= 1e-12
+        f = np.maximum(a_cap, np.maximum(caps[b0], caps[b1]))[feas]
+        if f.size:
+            best = min(best, float(f.min()))
+    return best
+
+
+def reference_grid_refine(center, delta, step, refine_to):
+    """The refine as first written: every level stacks all 5^6 grid points
+    and tests them against every row of Q_delta, box rows included."""
+    rows = geometry.polytope_float(geometry.build_q_delta(2, delta))[0:2]
+    A_ub, b_ub = rows
+    pairs = channels.family_index_pairs(2)
+    best_val, best_pt = np.inf, None
+    c = np.asarray(center, dtype=float)
+    cur = step
+    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    while cur > refine_to:
+        axes = [np.clip(c[k] + offsets * cur, -1.0, 1.0) for k in range(6)]
+        grids = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=1)
+        feas = (A_ub @ pts.T - b_ub[:, None]).max(axis=0) <= 1e-12
+        pts = pts[feas]
+        if pts.size:
+            p = (1.0 + pts) / 2.0
+            f = np.max([channels.capacity_array(p[:, ix], p[:, iy])
+                        for _, ix, iy in pairs], axis=0)
+            k = int(f.argmin())
+            if f[k] < best_val:
+                best_val, best_pt = float(f[k]), pts[k]
+                c = pts[k]
+        cur *= 0.5
+    return best_val, best_pt
+
+
+# optimal-family witnesses with one coordinate moved by about 1e-12, so that a
+# summed row's residual lies within rounding of the 1e-12 feasibility
+# threshold: the verdict on the centre depends on the order in which the row's
+# six terms are added (the reference's matmul adds them for k = 0..5)
+BOUNDARY_CENTRES = [
+    (0.5, ["0x1.58946c0000000p-4", "-0x1.58946c001197bp-4", "0x1.0000000000000p-2",
+           "0x1.58946c0000000p-4", "0x1.0000000000000p-2", "0x1.58946c0000000p-4"]),
+    (1.0, ["0x1.63864de000000p-3", "-0x1.63864de000000p-3", "0x1.fffffffffb9a2p-2",
+           "0x1.63864de000000p-3", "0x1.0000000000000p-1", "0x1.63864de000000p-3"]),
+    (1.5, ["0x1.1cf040b400000p-2", "-0x1.1cf040b400000p-2", "0x1.8000000000000p-1",
+           "0x1.1cf040b3fb9a3p-2", "0x1.8000000000000p-1", "0x1.1cf040b400000p-2"]),
+    (2.0, ["0x1.d5f3ad1bfb9a3p-2", "-0x1.d5f3ad1c00000p-2", "0x1.0000000000000p+0",
+           "0x1.d5f3ad1c00000p-2", "0x1.0000000000000p+0", "0x1.d5f3ad1c00000p-2"]),
+    (0.8, ["0x1.180484cccccccp-3", "-0x1.180484cccccccp-3", "0x1.999999999999ap-2",
+           "0x1.180484cccccccp-3", "0x1.999999999999ap-2", "0x1.180484ccc400fp-3"]),
+]
+
+# grid_oracle(delta, step=0.05).hex() as recorded before the tensor-product
+# refine and the blocked scan
+ORACLE_BITS = {
+    0.05: "0x1.a44c601db0000p-15",
+    0.5: "0x1.4ef6ab5eba300p-8",
+    1.0: "0x1.65f843e203520p-6",
+    1.45: "0x1.a8ea37ec91ce0p-5",
+    2.0: "0x1.431f0240e3290p-3",
+}
 
 
 class TestGavaBound:
@@ -176,10 +252,65 @@ class TestMinimaxSolver:
 
 class TestGridOracle:
     def test_factored_scan_equals_naive_brute_force(self):
+        # (0.7, 0.1) and (1.3, 0.1) take more than one block of pair0 rows
         for delta, step in [(0.0, 0.5), (0.5, 0.5), (1.0, 0.5), (2.0, 0.5),
-                            (0.3, 0.25), (1.7, 0.25)]:
-            fast, _ = strength._global_grid_scan(delta, step)
-            assert fast == pytest.approx(brute_force_grid_min(delta, step), abs=1e-12)
+                            (0.3, 0.25), (1.7, 0.25), (0.7, 0.1), (1.3, 0.1)]:
+            fast, point = strength._global_grid_scan(delta, step)
+            assert fast == brute_force_grid_min(delta, step, below=fast)
+            A_ub, b_ub, _, _ = geometry.polytope_float(geometry.build_q_delta(2, delta))
+            assert (A_ub @ point - b_ub).max() <= 1e-12
+            assert grid_max_capacity(point) == fast
+
+    @pytest.mark.parametrize("delta, step", [(0.7, 0.1), (1.3, 0.1), (0.45, 0.05), (1.9, 0.05)])
+    def test_blocked_scan_equals_row_by_row(self, delta, step, monkeypatch):
+        blocked = strength._global_grid_scan(delta, step)
+        monkeypatch.setattr(strength, "_SCAN_BLOCK_ELEMS", 1)   # one pair0 row per block
+        value, point = strength._global_grid_scan(delta, step)
+        assert value == blocked[0]
+        assert np.array_equal(point, blocked[1])
+
+    @pytest.mark.parametrize("step", [0.05, 0.1, 0.25])
+    @pytest.mark.parametrize("delta", [0.0, 2.0, *np.random.default_rng(16).uniform(0, 2, 2)])
+    def test_refine_equals_reference_bit_for_bit(self, delta, step):
+        rng = np.random.default_rng([16, int(delta * 1e6), int(step * 100)])
+        centers = [strength._global_grid_scan(delta, step)[1],
+                   optimal_family(delta).witness.as_array(),
+                   np.clip(rng.uniform(-1.3, 1.3, 6), -1.0, 1.0)]   # some coordinates at +-1
+        rows = strength._summed_rows(delta)
+        for center in centers:
+            value, point = strength._grid_refine(center, rows, step, 5e-5)
+            ref_value, ref_point = reference_grid_refine(center, delta, step, 5e-5)
+            assert value == ref_value
+            assert np.array_equal(point, ref_point)
+
+    @pytest.mark.parametrize("delta, center", BOUNDARY_CENTRES)
+    def test_refine_on_the_feasibility_threshold(self, delta, center):
+        center = np.array([float.fromhex(v) for v in center])
+        value, point = strength._grid_refine(center, strength._summed_rows(delta), 0.05, 5e-5)
+        ref_value, ref_point = reference_grid_refine(center, delta, 0.05, 5e-5)
+        assert value == ref_value
+        assert np.array_equal(point, ref_point)
+
+    def test_pinned_bits(self):
+        for delta, bits in ORACLE_BITS.items():
+            assert grid_oracle(delta, step=0.05).hex() == bits
+
+    @pytest.mark.parametrize("refine_to", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_refine_to_must_be_finite_and_positive(self, refine_to):
+        # -1.0 used to loop forever and nan skipped the refine
+        with pytest.raises(ValueError, match="refine_to"):
+            grid_oracle(1.0, refine_to=refine_to)
+
+    @pytest.mark.parametrize("delta", [-0.1, 2.5, float("nan"), float("inf")])
+    def test_delta_checked_before_any_work(self, delta, monkeypatch):
+        def scan(*args):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(strength, "_global_grid_scan", scan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"delta must lie in \[0, 2\]"):
+                grid_oracle(delta)
 
     def test_delta_zero(self):
         assert grid_oracle(0.0) == 0.0
