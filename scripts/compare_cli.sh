@@ -50,13 +50,20 @@ for demo in "$1"/demos/*.py; do
     name=$(basename "$demo" .py)
     COMMANDS+=("demo_$name|demos/$name.py")
 done
-# the grid oracle at full precision (demo 03 prints 6 decimals only), from a
-# script in OUT so that both trees run the same file
+# the grid oracle at full precision (demo 03 prints 6 decimals only), the
+# global scan at odd n (its lattice centre is no grid point) and the oracle at
+# step 0.01, from a script in OUT so that both trees run the same file
 cat >"$OUT/oracle_bits.py" <<'EOF'
 from signalcap import strength
 
 for k in range(21):
     print(repr(strength.grid_oracle(k / 10)))
+for n in (5, 21, 45):
+    for d in (0.3, 1.0, 2.0):
+        value, point = strength._global_grid_scan(d, 2 / n)
+        print(n, d, repr(value), repr(point.tolist()))
+for d in (0.4, 1.0, 1.7):
+    print(d, repr(strength.grid_oracle(d, step=0.01)))
 EOF
 COMMANDS+=("oracle_bits|$OUT/oracle_bits.py")
 

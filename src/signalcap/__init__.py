@@ -23,9 +23,7 @@ from .boxes import (
     CorrelatorVector,
     NegativeProbability,
     NotNormalized,
-    SignFlipRecord,
     TripartiteBox,
-    canonicalize_signs,
     check_no_signaling,
     correlator,
     correlator_vector,

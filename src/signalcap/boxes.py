@@ -214,51 +214,6 @@ def symmetrize(box: TripartiteBox) -> TripartiteBox:
 
 
 # ---------------------------------------------------------------------------
-# sign canonicalization
-
-@dataclass(frozen=True)
-class SignFlipRecord:
-    flip_a: tuple
-    flip_e: bool
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.flip_a and not self.flip_e
-
-
-def apply_sign_flips(box: TripartiteBox, record: SignFlipRecord) -> TripartiteBox:
-    """Negate the outcomes of the listed A observables and/or of E.
-
-    Flips are involutions, so applying the same record twice restores the
-    original box.
-    """
-    t = np.array(box.table)
-    for i in record.flip_a:
-        t[i] = t[i, :, ::-1]
-    if record.flip_e:
-        t = t[:, :, :, :, ::-1]
-    return make_box(box.m, t)
-
-
-def canonicalize_signs(box: TripartiteBox):
-    """Flip observables so the Bell value and <B_0 E> are both nonnegative.
-
-    Negating every A observable reverses the chained Bell expression without
-    touching <B_0 E>; negating E reverses <B_0 E> without touching the Bell
-    value.  Returns the flipped box and the record needed to undo it.
-    """
-    flip_a: tuple = ()
-    if chained_bell_value(box) < 0:
-        flip_a = tuple(range(box.m))
-        box = apply_sign_flips(box, SignFlipRecord(flip_a, False))
-    _, _, be = two_body_tables(box)
-    flip_e = bool(be[:, 0].mean() < 0)
-    if flip_e:
-        box = apply_sign_flips(box, SignFlipRecord((), True))
-    return box, SignFlipRecord(flip_a, flip_e)
-
-
-# ---------------------------------------------------------------------------
 # correlator vectors
 
 def correlator_layout(m: int, relaxed: bool = False) -> tuple:

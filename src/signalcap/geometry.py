@@ -162,22 +162,6 @@ def box_polytope_equalities():
     return list(_EQUALITIES)
 
 
-def build_box_polytope() -> HPolytope:
-    """Boxes with vanishing singles/triples whose monogamy value lies in [4, 6]."""
-    rows = box_polytope_inequalities()
-    rows.append((M_ROW, Fraction(6)))
-    rows.append((tuple(-c for c in M_ROW), Fraction(-4)))
-    return HPolytope(12, tuple(rows), tuple(box_polytope_equalities()))
-
-
-def phi(p12) -> tuple:
-    return tuple(p12[k] for k in PHI_INDICES)
-
-
-def monogamy_functional(p12):
-    return sum(c * v for c, v in zip(M_ROW, p12))
-
-
 # The box LP of box_preimage in integers.  Only the right-hand sides of the
 # equalities depend on the query: (0, c6, 4 + delta).
 _EQ_ROWS = [int_scale_row(c, 0)[0] for c, _ in box_polytope_equalities()]

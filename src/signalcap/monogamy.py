@@ -60,14 +60,6 @@ def triple_inequality_holds(dist, signs, tol: float = 1e-12) -> bool:
     return bool(s1 * xy + s2 * yz + s3 * xz <= 1.0 + tol)
 
 
-def triple_value(box: boxes.TripartiteBox, ineq: TripleInequality) -> float:
-    """Signed correlator sum of one member inequality on a box."""
-    i, j = ineq.setting_pair
-    ab, ae, be = boxes.two_body_tables(box)
-    s1, s2, s3 = ineq.signs
-    return float(s1 * ab[i, j] + s2 * be[i, j] + s3 * ae[i, j])
-
-
 @dataclass(frozen=True)
 class MonogamyReport:
     lhs: float
@@ -234,12 +226,14 @@ def verify_minimal_set(m: int, size=None) -> int:
         i, j = pairs[idx]
         tail_need[idx] = tail_need[idx + 1] + abs(int(target_ab[i, j]))
 
-    # per pattern: (s1, s2, s3) applied to (ab, be, ae)
     count = 0
 
     def options(t: int, max_k: int):
-        """Count tuples (n0..n3) over the four sign patterns with
-        n1 + n2 - n0 - n3 = t, yielding (k, ae_delta, be_delta, multiplicity=1)."""
+        """Picks of k <= max_k members for one setting pair whose AB
+        coefficient is t: counts (n0..n3) of the four sign patterns with
+        n1 + n2 - n0 - n3 = t.  Returns a list of (k, ae_d, be_d), the
+        pick's size and the shifts it gives the pair's AE and BE
+        coefficients, one entry per count tuple."""
         opts = []
         for k in range(abs(t), max_k + 1):
             if (k - abs(t)) % 2:

@@ -297,6 +297,24 @@ def _grid_refine(center, rows, step, refine_to):
     return best_val, best_pt
 
 
+def _box_min(ca, lu, hu, lv, hv):
+    """Vectorized min of the rotated capacity lattice ca over the index
+    boxes [lu, hu] x [lv, hv]: the lattice cells of each box nearest the
+    centre (n, n), read by four gathers."""
+    n = ca.shape[0] // 2
+    cu = np.minimum(np.maximum(lu, n), hu)     # np.clip costs twice as much
+    cv = np.minimum(np.maximum(lv, n), hv)
+
+    def nearest(u):
+        """Least of the lattice cells of row u nearest column cv."""
+        off = (u + cv + n) & 1
+        return np.minimum(ca[u, np.maximum(cv - off, lv)], ca[u, np.minimum(cv + off, hv)])
+
+    # IU = n + k and n - k hold equal values, so the row past the centre
+    # stands in for the one before it
+    return np.minimum(nearest(cu), nearest(np.where(cu < hu, cu + 1, np.maximum(cu - 1, lu))))
+
+
 def _global_grid_scan(delta: float, step: float):
     """Exhaustive scan of the six-dimensional correlator grid.
 
@@ -306,6 +324,16 @@ def _global_grid_scan(delta: float, step: float):
         min max(C0, C1, CA) = min_B max(C0, C1, min_{A feasible} CA)
     and pairs are skipped only when max(C0, C1) already exceeds the running
     grid incumbent, which cannot change the minimum.
+
+    The feasible A-channels of a B-pair form a box on the lattice rotated
+    by 45 degrees.  Capacity is convex in (p, q) and symmetric under
+    p <-> q and under (p, q) -> (1 - q, 1 - p), the reflections of the
+    rotated lattice in its centre lines IU = n and IV = n, so along every
+    lattice line it never rises toward the centre; capacity_array keeps
+    both facts bit for bit.  A box's minimum is therefore at its lattice
+    cells nearest the centre (_box_min), and the scan needs O(n^2) memory
+    for n = 2 / step.  Each looked-up cell lies in its box, so the value is
+    always that of a feasible grid point.
 
     Ties: the returned tuple is the first whose value equals the minimum in
     the order (rank of pair0 by C0, equal C0 by index; index of pair1).
@@ -322,51 +350,12 @@ def _global_grid_scan(delta: float, step: float):
     prob = (1.0 + g) / 2.0
     cap2d = channels.capacity_array(prob[:, None], prob[None, :])   # C[(ix, iy)]
 
-    # sparse table for 2-d range minima: table (a, b) holds the minima over
-    # the 2^a x 2^b index boxes of the A-channel capacities; the tables lie
-    # end to end in one flat buffer, table (a, b) from offset[a, b] on, in
-    # rows of width[b]
-    nn = 2 * n + 1
-    lognn = int(np.floor(np.log2(nn))) + 1
-    span = 1 << np.arange(lognn)
-    width = nn - span + 1
-    sizes = np.outer(width, width)
-    offset = np.concatenate(([0], np.cumsum(sizes.ravel())[:-1])).reshape(sizes.shape)
-    flat = np.empty(int(sizes.sum()), dtype=float)
-
-    def table(a, b):
-        return flat[offset[a, b]: offset[a, b] + sizes[a, b]].reshape(width[a], width[b])
-
-    # level (0, 0): the A-channel capacities on the rotated integer lattice
-    #   IU = ix - iy + n in [0, 2n], IV = ix + iy in [0, 2n]
-    ca = table(0, 0)
-    ca.fill(np.inf)
+    # the A-channel capacities on the rotated integer lattice
+    #   IU = ix - iy + n in [0, 2n], IV = ix + iy in [0, 2n];
+    # cells with IU + IV - n odd, or outside the grid, are no grid points
+    ca = np.full((2 * n + 1, 2 * n + 1), np.inf)
     ix, iy = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
     ca[(ix - iy + n).ravel(), (ix + iy).ravel()] = cap2d.ravel()
-    for a in range(lognn):
-        for b in range(lognn):
-            if a == 0 and b == 0:
-                continue
-            if a:
-                prev = table(a - 1, b)
-                half = 1 << (a - 1)
-                np.minimum(prev[: prev.shape[0] - half], prev[half:], out=table(a, b))
-            else:
-                prev = table(a, b - 1)
-                half = 1 << (b - 1)
-                np.minimum(prev[:, : prev.shape[1] - half], prev[:, half:], out=table(a, b))
-    level = np.floor(np.log2(np.arange(1, nn + 1))).astype(int)   # level[w - 1]: 2^level <= w
-
-    def range_min(lu, hu, lv, hv):
-        """Vectorized min of ca over index boxes [lu, hu] x [lv, hv]."""
-        a = level[hu - lu]
-        b = level[hv - lv]
-        base, w = offset[a, b], width[b]
-        top = base + lu * w
-        bottom = base + (hu - span[a] + 1) * w
-        right = hv - span[b] + 1
-        return np.minimum(np.minimum(flat[top + lv], flat[top + right]),
-                          np.minimum(flat[bottom + lv], flat[bottom + right]))
 
     # B-pair bookkeeping: for pair (ix, iy), d = ix - iy, s = ix + iy - n in
     # units of step; constraints on the A-pair in rotated units read
@@ -399,7 +388,7 @@ def _global_grid_scan(delta: float, step: float):
         cand = (lu <= hu) & (lv <= hv) & (m01 < incumbent)
         if not cand.any():
             continue
-        amin = range_min(*(v[cand].astype(int) + n for v in (lu, hu, lv, hv)))
+        amin = _box_min(ca, *(v[cand].astype(int) + n for v in (lu, hu, lv, hv)))
         f = np.maximum(m01[cand], amin)
         k = int(f.argmin())
         if f[k] < incumbent:

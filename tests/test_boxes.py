@@ -9,7 +9,6 @@ from signalcap.boxes import (
     BoxFormatError,
     NegativeProbability,
     NotNormalized,
-    SignFlipRecord,
 )
 from signalcap import channels, geometry, monogamy
 
@@ -174,38 +173,6 @@ class TestSymmetrize:
         for orig, sym in zip(boxes.two_body_tables(box),
                              boxes.two_body_tables(boxes.symmetrize(box))):
             assert np.allclose(orig, sym, atol=1e-15)
-
-
-class TestCanonicalizeSigns:
-    def test_flips_negative_bell_value(self):
-        flipped = boxes.apply_sign_flips(boxes.pr_times_coin(), SignFlipRecord((0, 1), False))
-        assert boxes.chained_bell_value(flipped) == -4.0
-        canon, record = boxes.canonicalize_signs(flipped)
-        assert boxes.chained_bell_value(canon) == 4.0
-        assert record.flip_a == (0, 1)
-
-    def test_identity_on_canonical_box(self):
-        canon, record = boxes.canonicalize_signs(boxes.reference_box(1.0, 0.2))
-        assert record.is_identity
-        assert np.array_equal(canon.table, boxes.reference_box(1.0, 0.2).table)
-
-    def test_record_undoes_the_flip(self):
-        box = boxes.random_nonsignaling(2, 3)
-        flipped = boxes.apply_sign_flips(box, SignFlipRecord((1,), True))
-        canon, record = boxes.canonicalize_signs(flipped)
-        back = boxes.apply_sign_flips(canon, record)
-        assert np.allclose(back.table, flipped.table, atol=1e-15)
-
-    def test_monogamy_functional_invariant(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            box = boxes.random_nonsignaling(2, rng.integers(0, 2**63))
-            flipped = boxes.apply_sign_flips(
-                box, SignFlipRecord(tuple(np.nonzero(rng.integers(0, 2, 2))[0]),
-                                    bool(rng.integers(0, 2))))
-            before = monogamy.monogamy_lhs(flipped).lhs
-            canon, _ = boxes.canonicalize_signs(flipped)
-            assert monogamy.monogamy_lhs(canon).lhs == pytest.approx(before, abs=1e-12)
 
 
 class TestFromCorrelators:

