@@ -30,9 +30,11 @@ COMMANDS=(
     "verify_appendix-a|-m signalcap.cli verify appendix-a"
     "verify_appendix-b|-m signalcap.cli verify appendix-b"
     "verify_minimal-set|-m signalcap.cli verify minimal-set"
-    "verify_properties_seed0|-m signalcap.cli verify properties --seed 0"
-    "verify_properties_seed8|-m signalcap.cli verify properties --seed 8"
 )
+# every seed the crosscheck workload draws; seed 8 is a known failure (exit 1)
+for seed in $(seq 0 18); do
+    COMMANDS+=("verify_properties_seed${seed}|-m signalcap.cli verify properties --seed $seed")
+done
 for m in 2 3; do
     for d in 0 1 2; do
         COMMANDS+=("dump_m${m}_delta${d}_vertices|-m signalcap.cli dump-polytope --m $m --delta $d --vertices")

@@ -63,20 +63,33 @@ def make_box(m, table) -> TripartiteBox:
     want = (m, m, 2, 2, 2)
     if t.shape != want:
         raise BoxFormatError(f"table: expected shape {want}, got {t.shape}")
-    if not np.isfinite(t).all():
-        idx = tuple(int(k) for k in np.argwhere(~np.isfinite(t))[0])
-        raise BoxError(f"table entry {idx} is {t[idx]}, not a finite number")
-    if t.min() < -PROB_TOL:
-        idx = np.unravel_index(int(t.argmin()), t.shape)
-        raise NegativeProbability(idx, t[idx])
-    sums = t.sum(axis=(2, 3, 4))
-    bad = np.abs(sums - 1.0) > NORM_TOL
-    if bad.any():
-        i, j = map(int, np.argwhere(bad)[0])
-        raise NotNormalized(i, j, sums[i, j])
+    _check_tables(t)
     t = t.copy()
     t.flags.writeable = False
     return TripartiteBox(m, t)
+
+
+def _check_tables(t) -> None:
+    """Raise make_box's error if a table of the stack t, shaped
+    (..., m, m, 2, 2, 2), is invalid.
+
+    The checks run over the whole stack in turn: the first entry (C order)
+    that is not finite, then the most negative entry if it is below
+    -PROB_TOL, then the first setting pair whose entries do not sum to 1
+    within NORM_TOL.  Indices name the entry or pair within its table.
+    """
+    finite = np.isfinite(t)
+    if not finite.all():
+        idx = tuple(int(k) for k in np.argwhere(~finite)[0])
+        raise BoxError(f"table entry {idx[-5:]} is {t[idx]}, not a finite number")
+    if t.min() < -PROB_TOL:
+        idx = np.unravel_index(int(t.argmin()), t.shape)
+        raise NegativeProbability(idx[-5:], t[idx])
+    sums = t.sum(axis=(-3, -2, -1))
+    bad = np.abs(sums - 1.0) > NORM_TOL
+    if bad.any():
+        idx = tuple(np.argwhere(bad)[0])
+        raise NotNormalized(idx[-2], idx[-1], sums[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +124,15 @@ def two_body_tables(box: TripartiteBox):
     Returns (ab, ae, be) with ab[i, j] = <A_i B_j>_E, ae[i, j] = <A_i E>_{B_j}
     and be[i, j] = <B_j E>_{A_i}.
     """
-    t = box.table
-    ab = np.einsum("ijabe,a,b->ij", t, SIGNS, SIGNS)
-    ae = np.einsum("ijabe,a,e->ij", t, SIGNS, SIGNS)
-    be = np.einsum("ijabe,b,e->ij", t, SIGNS, SIGNS)
+    return _two_body(box.table)
+
+
+def _two_body(t):
+    """two_body_tables of every table of a stack (..., m, m, 2, 2, 2), as
+    three (..., m, m) arrays."""
+    ab = np.einsum("...ijabe,a,b->...ij", t, SIGNS, SIGNS)
+    ae = np.einsum("...ijabe,a,e->...ij", t, SIGNS, SIGNS)
+    be = np.einsum("...ijabe,b,e->...ij", t, SIGNS, SIGNS)
     return ab, ae, be
 
 
@@ -151,11 +169,17 @@ def chained_bell_value(box: TripartiteBox) -> float:
     For m = 2 this is the CHSH combination
     <A_0 B_0> + <A_1 B_0> + <A_1 B_1> - <A_0 B_1>.
     """
-    ab, _, _ = two_body_tables(box)
+    return float(_bell_values(two_body_tables(box)[0]))
+
+
+def _bell_values(ab):
+    """I_m of every <A_i B_j> table of a stack (..., m, m), added one term at
+    a time from 0.0 in the order of chained_bell_terms(m)."""
+    ba = ab.T      # ba[j, i] is ab[..., i, j] with the leading axes reversed
     total = 0.0
-    for (i, j), sign in chained_bell_terms(box.m):
-        total += sign * ab[i, j]
-    return float(total)
+    for (i, j), sign in chained_bell_terms(ab.shape[-1]):
+        total = total + sign * ba[j, i]
+    return total.T
 
 
 # ---------------------------------------------------------------------------
@@ -168,38 +192,48 @@ class NoSignalingReport:
     offenders: list
 
 
+# (label, axes of the (..., i, j, a, b, e) tables summed out, axes of the
+# marginal its spread runs over, names of the marginal's remaining axes)
+_MARGINALS = (
+    ("p(b,e|B_j) depends on A setting", -3, -4, "jbe"),
+    ("p(a,e|A_i) depends on B setting", -2, -3, "iae"),
+    ("p(a|A_i) depends on B setting", (-2, -1), -2, "ia"),
+    ("p(b|B_j) depends on A setting", (-3, -1), -3, "jb"),
+    ("p(e) depends on A,B settings", (-3, -2), (-3, -2), "e"),
+)
+
+
+def _marginal_gaps(t) -> list:
+    """Spread (max - min) of each marginal of _MARGINALS across the dropped
+    party's settings, for every table of a stack (..., m, m, 2, 2, 2): one
+    array per marginal, shaped (..., remaining axes)."""
+    # numpy picks a sum's order of addition from the memory layout: laid out
+    # as one table is, a stack (such as _mixture_tables' view) gets its bits
+    t = np.ascontiguousarray(t)
+    gaps = []
+    for _, summed, spread, _ in _MARGINALS:
+        marginal = t.sum(axis=summed)
+        gaps.append(marginal.max(axis=spread) - marginal.min(axis=spread))
+    return gaps
+
+
 def check_no_signaling(box: TripartiteBox, tol: float = 1e-9) -> NoSignalingReport:
     """Compare every one- and two-party marginal across the dropped party's settings.
 
     Offenders name the marginal family and the concrete entry with the
     largest spread; outcome indices are reported as signs.
     """
-    t = box.table
     offenders = []
-
-    def sgn(k):
-        return "+1" if k == 0 else "-1"
-
-    def spread(arr, axis, label, describe):
-        gap = arr.max(axis=axis) - arr.min(axis=axis)
-        worst = float(gap.max())
-        if worst > tol:
+    worst = 0.0
+    for (label, _, _, names), gap in zip(_MARGINALS, _marginal_gaps(box.table)):
+        spread = float(gap.max())
+        worst = max(worst, spread)
+        if spread > tol:
             where = np.unravel_index(int(gap.argmax()), gap.shape)
-            offenders.append((f"{label} (worst at {describe(*where)})", worst))
-        return worst
-
-    worst = max(
-        spread(t.sum(axis=2), 0, "p(b,e|B_j) depends on A setting",
-               lambda j, b, e: f"j={j}, b={sgn(b)}, e={sgn(e)}"),
-        spread(t.sum(axis=3), 1, "p(a,e|A_i) depends on B setting",
-               lambda i, a, e: f"i={i}, a={sgn(a)}, e={sgn(e)}"),
-        spread(t.sum(axis=(3, 4)), 1, "p(a|A_i) depends on B setting",
-               lambda i, a: f"i={i}, a={sgn(a)}"),
-        spread(t.sum(axis=(2, 4)), 0, "p(b|B_j) depends on A setting",
-               lambda j, b: f"j={j}, b={sgn(b)}"),
-        spread(t.sum(axis=(2, 3)), (0, 1), "p(e) depends on A,B settings",
-               lambda e: f"e={sgn(e)}"),
-    )
+            entry = ", ".join(f"{name}={k}" if name in "ij" else
+                              f"{name}={'+1' if k == 0 else '-1'}"
+                              for name, k in zip(names, where))
+            offenders.append((f"{label} (worst at {entry})", spread))
     return NoSignalingReport(bool(worst <= tol), worst, offenders)
 
 
@@ -360,6 +394,44 @@ def _strategy_cells(m: int) -> np.ndarray:
     return cells
 
 
+@lru_cache(maxsize=8)
+def _cell_strategies(m: int) -> np.ndarray:
+    """The strategies that weigh each cell, shaped (2^(2m-2), 8 m^2): column c
+    lists the strategies of _strategy_cells(m) that contain flat cell c, in
+    strategy order."""
+    cells = _strategy_cells(m)
+    # stable: within a cell the flat positions, hence strategies, stay in order
+    order = np.argsort(cells.ravel(), kind="stable") // cells.shape[1]
+    order = np.ascontiguousarray(order.reshape(8 * m * m, -1).T)
+    order.flags.writeable = False
+    return order
+
+
+def _mixture_tables(m: int, weights) -> np.ndarray:
+    """Tables of the mixtures of local deterministic strategies with the
+    given weights, one per row of weights (..., 2^(2m+1)), shaped
+    (..., m, m, 2, 2, 2).
+
+    Each cell adds its strategies' weights to 0.0 one at a time in strategy
+    order, so every table has the bytes that np.add.at gives when it adds
+    each strategy's weight to a zero table, strategy by strategy.
+    """
+    # strategies first; the other axes come out reversed, and t.T turns them back
+    by_strategy = weights.T
+    t = np.zeros((8 * m * m,) + by_strategy.shape[1:])
+    for strategies in _cell_strategies(m):
+        t += by_strategy[strategies]
+    return t.T.reshape(weights.shape[:-1] + (m, m, 2, 2, 2))
+
+
+def _strategy_weights(m: int, seed) -> np.ndarray:
+    """Dirichlet(0.2) weights over the 2^(2m+1) local deterministic
+    strategies, drawn by a generator of their own, np.random.default_rng(seed),
+    so that a box is fixed by its seed alone, whatever else is drawn before
+    or beside it."""
+    return np.random.default_rng(seed).dirichlet(np.full(len(_strategy_cells(m)), 0.2))
+
+
 def random_nonsignaling(m: int = 2, seed=None) -> TripartiteBox:
     """Dirichlet-weighted mixture of all local deterministic boxes.
 
@@ -369,13 +441,7 @@ def random_nonsignaling(m: int = 2, seed=None) -> TripartiteBox:
     strategies, so samples also probe the neighborhood of the extreme points
     where the monogamy bound is nearly saturated.
     """
-    rng = np.random.default_rng(seed)
-    cells = _strategy_cells(m)
-    weights = rng.dirichlet(np.full(len(cells), 0.2))
-    t = np.zeros(8 * m * m)
-    # unbuffered and in strategy order: each cell sums its weights in order
-    np.add.at(t, cells, weights[:, None])
-    return make_box(m, t.reshape(m, m, 2, 2, 2))
+    return make_box(m, _mixture_tables(m, _strategy_weights(m, seed)))
 
 
 def reference_box(delta: float, x: float) -> TripartiteBox:

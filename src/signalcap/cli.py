@@ -101,28 +101,50 @@ def cmd_curve(args) -> int:
 # written where the check is judged; the samplers below only measure, so the
 # acceptance tests can judge the same samples at their own stated tolerances.
 
+# the samplers judge their samples in blocks of this many, which bounds the
+# memory of the arrays they judge them in
+SAMPLE_BLOCK = 1_000
+
+
 def sample_monogamy(rng, n):
     """Worst monogamy LHS and worst no-signaling marginal spread over n
-    random nonsignaling two-setting boxes."""
+    random nonsignaling two-setting boxes.
+
+    One size-n draw gives the boxes' seeds; it takes the same numbers, and
+    leaves rng in the same state, as n scalar draws.  Each box is then drawn
+    from its own generator, as boxes.random_nonsignaling(2, seed) draws it,
+    so a box depends on its seed alone.  The boxes are judged as table
+    stacks, SAMPLE_BLOCK at a time, with make_box's checks, the strict-mode
+    monogamy LHS and the no-signaling spreads that judge a single box.
+    """
+    seeds = rng.integers(0, 2**63, size=n)
     worst = 0.0
     worst_marginal = 0.0
-    for _ in range(n):
-        box = boxes.random_nonsignaling(2, rng.integers(0, 2**63))
-        worst = max(worst, monogamy.monogamy_lhs(box).lhs)
-        worst_marginal = max(worst_marginal,
-                             boxes.check_no_signaling(box, 1e-12).worst_violation)
+    for start in range(0, n, SAMPLE_BLOCK):
+        weights = np.array([boxes._strategy_weights(2, seed)
+                            for seed in seeds[start:start + SAMPLE_BLOCK]])
+        tables = boxes._mixture_tables(2, weights)
+        boxes._check_tables(tables)
+        worst = max(worst, float(monogamy._lhs_values(tables).max()))
+        worst_marginal = max(worst_marginal, *(float(gap.max())
+                                               for gap in boxes._marginal_gaps(tables)))
     return worst, worst_marginal
 
 
 def sample_triple_inequalities(rng, n):
     """Violations of the four triple inequalities over n random
-    distributions p(a, b, e)."""
+    distributions p(a, b, e).
+
+    One (n, 8) draw takes the same numbers, and leaves rng in the same
+    state, as n draws of eight; the distributions are judged SAMPLE_BLOCK
+    at a time.
+    """
+    dists = rng.dirichlet(np.ones(8), size=n).reshape(n, 2, 2, 2)
     bad = 0
-    for _ in range(n):
-        dist = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
+    for start in range(0, n, SAMPLE_BLOCK):
+        block = dists[start:start + SAMPLE_BLOCK]
         for signs in monogamy.SIGN_PATTERNS:
-            if not monogamy.triple_inequality_holds(dist, signs):
-                bad += 1
+            bad += int(np.count_nonzero(~monogamy.triple_inequality_holds(block, signs)))
     return bad
 
 

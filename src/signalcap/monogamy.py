@@ -46,18 +46,21 @@ class TripleInequality:
             raise ValueError(f"sign product must be -1, got signs {self.signs}")
 
 
-def triple_inequality_holds(dist, signs, tol: float = 1e-12) -> bool:
-    """Check one signed correlator bound on a distribution over {+1,-1}^3.
+def triple_inequality_holds(dist, signs, tol: float = 1e-12):
+    """Check one signed correlator bound on distributions over {+1,-1}^3.
 
-    dist has shape (2, 2, 2) indexed (x, y, z) with index 0 meaning +1.
+    dist has shape (..., 2, 2, 2) indexed (x, y, z) with index 0 meaning +1.
+    Returns a bool for one distribution and a bool array over the leading
+    axes for a stack.
     """
     d = np.asarray(dist, dtype=float)
     s = boxes.SIGNS
-    xy = np.einsum("xyz,x,y->", d, s, s)
-    yz = np.einsum("xyz,y,z->", d, s, s)
-    xz = np.einsum("xyz,x,z->", d, s, s)
+    xy = np.einsum("...xyz,x,y->...", d, s, s)
+    yz = np.einsum("...xyz,y,z->...", d, s, s)
+    xz = np.einsum("...xyz,x,z->...", d, s, s)
     s1, s2, s3 = signs
-    return bool(s1 * xy + s2 * yz + s3 * xz <= 1.0 + tol)
+    held = s1 * xy + s2 * yz + s3 * xz <= 1.0 + tol
+    return bool(held) if d.ndim == 3 else held
 
 
 @dataclass(frozen=True)
@@ -75,22 +78,30 @@ def monogamy_lhs(box: boxes.TripartiteBox, *, relaxed: bool = False) -> Monogamy
     1e-9 and uses their common value; relaxed mode (m = 2) uses
     |I| + |<B_0 E>_{A_0} + <B_0 E>_{A_1}| instead.
     """
-    m = box.m
-    _, _, be = boxes.two_body_tables(box)
-    bell = boxes.chained_bell_value(box)
-    b0e = be[:, 0]
+    lhs = float(_lhs_values(box.table, relaxed=relaxed))
+    bound = 2.0 * box.m
+    raw = lhs - bound
+    return MonogamyReport(lhs, bound, max(raw, 0.0), bool(raw > VIOLATION_TOL))
+
+
+def _lhs_values(t, *, relaxed: bool = False):
+    """The monogamy_lhs value of every table of a stack (..., m, m, 2, 2, 2).
+
+    Strict mode raises StrictModeInapplicable for the first table (C order)
+    whose <B_0 E>_{A_i} differ by more than 1e-9.
+    """
+    if relaxed and t.shape[-4] != 2:
+        raise ValueError("relaxed mode is defined for m = 2 only")
+    ab, _, be = boxes._two_body(t)
+    bell = boxes._bell_values(ab)
+    b0e = be[..., 0]
     if relaxed:
-        if m != 2:
-            raise ValueError("relaxed mode is defined for m = 2 only")
-        lhs = abs(bell) + abs(b0e[0] + b0e[1])
-    else:
-        spread = float(b0e.max() - b0e.min())
-        if spread > 1e-9:
-            raise StrictModeInapplicable(spread)
-        lhs = abs(bell) + 2.0 * abs(float(b0e.mean()))
-    bound = 2.0 * m
-    raw = float(lhs) - bound
-    return MonogamyReport(float(lhs), bound, max(raw, 0.0), bool(raw > VIOLATION_TOL))
+        return np.abs(bell) + np.abs(b0e[..., 0] + b0e[..., 1])
+    spread = b0e.max(axis=-1) - b0e.min(axis=-1)
+    bad = spread > 1e-9
+    if bad.any():
+        raise StrictModeInapplicable(spread[bad][0])
+    return np.abs(bell) + 2.0 * np.abs(b0e.mean(axis=-1))
 
 
 # ---------------------------------------------------------------------------

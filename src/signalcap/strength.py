@@ -174,7 +174,10 @@ def optimal_family(delta: float) -> OptimalFamily:
 
     C((1+delta/2)/2, (1+x)/2) falls and C((1+x)/2, (1-x)/2) grows on
     [0, delta/2], so bisection brackets the unique crossing; residual is
-    driven below 1e-10.
+    driven below 1e-10.  Below delta of about 1e-5 the closed form cannot
+    resolve channels that close to p = q and may read a bracket end as 0;
+    the bisection then stops at the first midpoint, where the returned value,
+    like the true one, is below about 1e-10.
     """
     if not 0.0 <= delta <= 2.0:
         raise ValueError("delta must lie in [0, 2]")
@@ -188,7 +191,7 @@ def optimal_family(delta: float) -> OptimalFamily:
                 - channels._capacity_pq((1.0 + x) / 2.0, (1.0 - x) / 2.0))
 
     lo, hi = 0.0, delta / 2.0
-    if balance(lo) <= 0 or balance(hi) >= 0:
+    if balance(lo) < 0 or balance(hi) > 0:
         raise NoRoot(f"no sign change on [0, {hi}] at delta={delta}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)

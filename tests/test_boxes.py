@@ -374,6 +374,7 @@ class TestCorrelatorVector:
         for call in (lambda: geometry.build_q_delta(3, 1.0, relaxed=True),
                      lambda: channels.family_index_pairs(3, relaxed=True),
                      lambda: boxes.correlator_vector(box, relaxed=True),
+                     lambda: monogamy.monogamy_lhs(box, relaxed=True),
                      lambda: boxes.CorrelatorVector(3, np.zeros(12), relaxed=True)):
             with pytest.raises(ValueError, match=msg):
                 call()

@@ -166,6 +166,13 @@ class TestOptimalFamily:
                                         (1.0 - fam.x_star) / 2.0)
             assert abs(lhs - rhs) < 1e-10
 
+    @pytest.mark.parametrize("delta", [1e-8, 8.387908e-06])
+    def test_tiny_delta_has_a_value(self, delta):
+        # the closed form reads C((1+x)/2, (1-x)/2) as 0 for x <= delta/2
+        # here, so the bracket end balances to 0; that once raised NoRoot
+        fam = optimal_family(delta)
+        assert 0.0 <= fam.value <= (delta / 2) ** 2 and 0.0 <= fam.x_star <= delta / 2
+
     def test_witness_channels_are_equalized(self):
         fam = optimal_family(1.0)
         caps = list(channels.channels_from_correlators(fam.witness).capacities().values())
