@@ -68,6 +68,33 @@ for d in (0.4, 1.0, 1.7):
     print(d, repr(strength.grid_oracle(d, step=0.01)))
 EOF
 COMMANDS+=("oracle_bits|$OUT/oracle_bits.py")
+# the Kelley solver at full precision (the curve CSV prints 6 decimals only):
+# value, witness, gap and iterations, or the error, of every solve on the
+# m = 2 step-0.01 and m = 3 step-0.02 lattices, of relaxed m = 2 at five
+# deltas and of m = 4 at delta 1 and 2
+cat >"$OUT/solver_bits.py" <<'EOF'
+from signalcap import strength
+
+
+def show(m, delta, relaxed=False):
+    try:
+        r = strength._solve(m, delta, 1e-4, relaxed)
+        print(m, delta, relaxed, repr(r.value), repr(r.witness.values.tolist()),
+              repr(r.gap), r.iterations)
+    except Exception as err:
+        print(m, delta, relaxed, type(err).__name__, err)
+
+
+for k in range(201):
+    show(2, round(k * 0.01, 10))
+for k in range(101):
+    show(3, round(k * 0.02, 10))
+for delta in (0.2, 0.6, 1.0, 1.4, 2.0):
+    show(2, delta, relaxed=True)
+for delta in (1.0, 2.0):
+    show(4, delta)
+EOF
+COMMANDS+=("solver_bits|$OUT/solver_bits.py")
 
 run_tree() {   # run_tree TREE DEST
     local tree dest entry name args

@@ -6,7 +6,10 @@ returns the same ``x`` and ``fun`` bit for bit.  It skips scipy's per-call
 wrapper: option validation, sparse conversion and input cleaning cost about
 three times HiGHS's own solve on the small master LPs of ``strength``.
 
-Each call solves on a fresh HiGHS object: no warm start, no persistent model.
+Every call solves on one module-level HiGHS object, made with the options
+once.  A call passes the whole model anew, which drops the last basis, so
+each solve starts cold: no warm start, no persistent model.  The one object
+makes the adapter single-threaded.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ OPTIONS = {
 _OPTIONS = _core.HighsOptions()
 for _name, _value in OPTIONS.items():
     setattr(_OPTIONS, _name, _value)
+_HIGHS = _core._Highs()
+if _HIGHS.passOptions(_OPTIONS) != _core.HighsStatus.kOk:
+    raise RuntimeError("HiGHS rejected the options")
+_COLWISE = int(_core.MatrixFormat.kColwise)
+_MINIMIZE = int(_core.ObjSense.kMinimize)
 
 # linprog's acceptance tolerance, 10 * sqrt(tol) at its default tol = 1e-9
 FEAS_TOL = 10.0 * np.sqrt(1e-9)
@@ -62,35 +70,26 @@ def feasible(x, fun, slack, con, lb, ub) -> bool:
 def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds) -> HighsResult:
     """Minimize c.x subject to A_ub x <= b_ub, A_eq x = b_eq and the column
     bounds, given as an (n, 2) array of (lower, upper).  Dense float inputs;
-    A_eq may have no rows."""
+    A_eq may have no rows.  Solves cold on the module's one HiGHS object, so
+    calls must not overlap: the adapter is single-threaded."""
     A = np.vstack([A_ub, A_eq])
     lb, ub = np.asarray(bounds, dtype=float).T
     start, index, value = _csc(A)
-    lp = _core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = A.shape[1]
-    lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
-    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    lp.col_cost_ = c
-    lp.col_lower_ = lb
-    lp.col_upper_ = ub
-    lp.row_lower_ = np.concatenate([np.full(len(b_ub), -_core.kHighsInf), b_eq])
-    lp.row_upper_ = np.concatenate([b_ub, b_eq])
-    lp.a_matrix_.start_ = start
-    lp.a_matrix_.index_ = index
-    lp.a_matrix_.value_ = value
-
-    highs = _core._Highs()
-    error = _core.HighsStatus.kError
-    if highs.passOptions(_OPTIONS) == error or highs.passModel(lp) == error:
+    row_lower = np.concatenate([np.full(len(b_ub), -_core.kHighsInf), b_eq])
+    row_upper = np.concatenate([b_ub, b_eq])
+    # the array overload of passModel: an LP has all columns continuous (0)
+    if _HIGHS.passModel(A.shape[1], A.shape[0], len(value), _COLWISE, _MINIMIZE, 0.0,
+                        c, lb, ub, row_lower, row_upper, start, index, value,
+                        np.zeros(A.shape[1], dtype=np.int32)) == _core.HighsStatus.kError:
         return HighsResult(False, None, None, "HiGHS rejected the model")
-    run_failed = highs.run() == error
-    status = highs.getModelStatus()
+    run_failed = _HIGHS.run() == _core.HighsStatus.kError
+    status = _HIGHS.getModelStatus()
     if run_failed or status != _core.HighsModelStatus.kOptimal:
         return HighsResult(False, None, None,
-                           f"HiGHS model status {highs.modelStatusToString(status)}")
-    solution = highs.getSolution()
+                           f"HiGHS model status {_HIGHS.modelStatusToString(status)}")
+    solution = _HIGHS.getSolution()
     x = np.array(solution.col_value)
-    fun = highs.getInfo().objective_function_value
+    fun = _HIGHS.getInfo().objective_function_value
     rows = np.array(solution.row_value)
     slack = b_ub - rows[:len(b_ub)]
     con = b_eq - rows[len(b_ub):]

@@ -69,15 +69,24 @@ def cmd_check_box(args) -> int:
 # ---------------------------------------------------------------------------
 # curve
 
+# the most grid points one curve run takes: step 1e-4 gives 20 001
+CURVE_MAX_POINTS = 20_001
+
+
 def cmd_curve(args) -> int:
     if not 0 < args.step <= 2.0:
         print(f"error: curve step must lie in (0, 2], got {args.step}", file=sys.stderr)
+        return 2
+    points = int(round(2.0 / args.step)) + 1
+    if points > CURVE_MAX_POINTS:
+        print(f"error: curve step {args.step} gives {points:.6g} grid points, "
+              f"more than {CURVE_MAX_POINTS}", file=sys.stderr)
         return 2
     # every capacity lies in [0, 1], so a bracket of width 1 says nothing
     if not 0 < args.tol < 1:
         print(f"error: --tol must lie in (0, 1), got {args.tol}", file=sys.stderr)
         return 2
-    deltas = [round(k * args.step, 10) for k in range(int(round(2.0 / args.step)) + 1)]
+    deltas = [round(k * args.step, 10) for k in range(points)]
     result = strength.curve(args.m, deltas, tol=args.tol)
     text = result.to_csv()
     if not result.ok:

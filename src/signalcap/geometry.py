@@ -13,6 +13,7 @@ rational_lp: it lists the vertices, and it decides every box LP.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -249,6 +250,28 @@ def polytope_float(poly: HPolytope):
         A_eq = np.zeros((0, poly.dim))
         b_eq = np.zeros(0)
     return A_ub, b_ub, A_eq, b_eq
+
+
+@functools.lru_cache(maxsize=None)
+def _q_delta_matrix(m: int, relaxed: bool) -> np.ndarray:
+    """The float inequality matrix of Q_delta(m), read-only: no entry of it
+    depends on delta."""
+    A_ub = polytope_float(build_q_delta(m, 0, relaxed))[0]
+    A_ub.flags.writeable = False
+    return A_ub
+
+
+def q_delta_float(m: int, delta, relaxed: bool = False):
+    """polytope_float(build_q_delta(m, delta, relaxed)), bit for bit, without
+    its rational rows: the matrix is built once per (m, relaxed) and shared
+    read-only, and only the right-hand side of the 4^(m-1) summed rows,
+    float(-d) for the rationalised d, depends on delta."""
+    if not 0 <= delta <= 2:
+        raise ValueError(f"delta must lie in [0, 2], got {delta}")
+    A_ub = _q_delta_matrix(m, relaxed)
+    b_ub = np.ones(len(A_ub))
+    b_ub[:4 ** (m - 1)] = float(-_rationalize(delta))
+    return A_ub, b_ub, np.zeros((0, A_ub.shape[1])), np.zeros(0)
 
 
 def dump_h_representation(poly: HPolytope) -> str:

@@ -9,7 +9,9 @@ lower/upper bound gap, and cross-checked by an independent grid search and
 by the one-parameter optimal family.  Each master LP of the cutting-plane
 loop goes to ``_highs.linprog``, which solves on scipy's bundled HiGHS core
 exactly what ``scipy.optimize.linprog(method="highs")`` would, minus its
-per-call wrapper.
+per-call wrapper.  It solves every LP cold on one module-level HiGHS object,
+so the solver is single-threaded.  The float rows of the polytope come from
+``geometry.q_delta_float``, whose matrix is built once per (m, relaxed).
 """
 
 from __future__ import annotations
@@ -64,9 +66,11 @@ def _family_eval(x, pairs):
     return caps, G, off
 
 
-def minimax_capacity(poly: geometry.HPolytope, pairs, tol: float = 1e-4,
-                     max_iter: int = 800, symmetrize_idx=None):
-    """Minimize the max channel capacity over an H-polytope.
+def minimax_capacity(rows, pairs, tol: float = 1e-4, max_iter: int = 800,
+                     symmetrize_idx=None):
+    """Minimize the max channel capacity over the polytope A_ub x <= b_ub,
+    A_eq x = b_eq, given as rows = (A_ub, b_ub, A_eq, b_eq), the float rows
+    of geometry.polytope_float.
 
     Kelley cutting planes: the master LP minimizes t over the polytope
     subject to all accumulated tangent cuts t >= g.c + off; its optimum is a
@@ -78,8 +82,8 @@ def minimax_capacity(poly: geometry.HPolytope, pairs, tol: float = 1e-4,
     relaxed mode; the projection never increases the objective and keeps
     polytope membership).
     """
-    A_ub, b_ub, A_eq, b_eq = geometry.polytope_float(poly)
-    dim = poly.dim
+    A_ub, b_ub, A_eq, b_eq = rows
+    dim = A_ub.shape[1]
     nvar = dim + 1   # coordinates plus epigraph variable t
     c_obj = np.zeros(nvar)
     c_obj[-1] = 1.0
@@ -120,10 +124,10 @@ def minimax_capacity(poly: geometry.HPolytope, pairs, tol: float = 1e-4,
 
 def _solve(m: int, delta: float, tol: float, relaxed: bool = False) -> StrengthResult:
     """Min-max capacity over the m-setting violation polytope, labeled by m."""
-    poly = geometry.build_q_delta(m, delta, relaxed)
+    rows = geometry.q_delta_float(m, delta, relaxed)
     pairs = channels.family_index_pairs(m, relaxed)
     sym = pairs[-1][1:] if relaxed else None   # the relaxed pair (x_A^0, y_A^0)
-    value, witness, gap, it = minimax_capacity(poly, pairs, tol, symmetrize_idx=sym)
+    value, witness, gap, it = minimax_capacity(rows, pairs, tol, symmetrize_idx=sym)
     label = "exact" if m == 2 else "conjectured lower bound"
     return StrengthResult(float(delta), value, boxes.CorrelatorVector(m, witness, relaxed),
                           label, gap, it)
@@ -246,7 +250,7 @@ _SCAN_BLOCK_ELEMS = 1 << 14
 def _summed_rows(delta):
     """Float rows (A, b) of the summed violation constraints A x <= b of
     Q_delta(2), without its box rows +-x_k <= 1."""
-    A_ub, b_ub, _, _ = geometry.polytope_float(geometry.build_q_delta(2, delta))
+    A_ub, b_ub, _, _ = geometry.q_delta_float(2, delta)
     summed = np.abs(A_ub).sum(axis=1) > 1      # a box row has one unit coefficient
     return A_ub[summed], b_ub[summed]
 

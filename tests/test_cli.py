@@ -115,6 +115,15 @@ class TestCurve:
         assert main(["curve", "--m", m]) == 2
         assert capsys.readouterr().err == f"error: need m >= 2, got {m}\n"
 
+    @pytest.mark.parametrize("step, points", [("1e-300", "2e+300"), ("1e-5", "200001")])
+    def test_step_too_small_exits_2_before_any_grid(self, step, points, capsys):
+        # at 1e-300 the grid list alone would hold 2e300 deltas
+        assert main(["curve", "--m", "2", "--step", step]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: curve step {float(step)} gives {points} grid points, "
+                                "more than 20001\n")
+
     def test_grid_past_two_names_the_delta(self, capsys):
         # the step-0.3 grid reaches delta = 2.1; the error line names it
         assert main(["curve", "--m", "2", "--step", "0.3"]) == 2

@@ -374,6 +374,23 @@ class TestQDelta:
         poly = build_q_delta(2, 1, relaxed=True)
         assert poly.dim == 8 and len(poly.inequalities) == 4 + 16
 
+    @pytest.mark.parametrize("m, relaxed", [(2, False), (3, False), (4, False), (2, True)])
+    @pytest.mark.parametrize("delta", [0, 0.37, 0.123456789, 2])
+    def test_float_rows_equal_the_rational_rows(self, m, relaxed, delta):
+        # 0.123456789 is no lattice delta: limit_denominator moves it
+        fast = geometry.q_delta_float(m, delta, relaxed)
+        slow = geometry.polytope_float(build_q_delta(m, delta, relaxed))
+        for a, b in zip(fast, slow):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+        assert not fast[0].flags.writeable
+        assert geometry.q_delta_float(m, 1.5, relaxed)[0] is fast[0]
+
+    @pytest.mark.parametrize("delta", [-0.1, 2.5, float("nan")])
+    def test_float_rows_reject_delta_outside_range(self, delta):
+        with pytest.raises(ValueError, match=r"delta must lie in \[0, 2\]"):
+            geometry.q_delta_float(2, delta)
+
     def test_q2_vertices_pin_xb_to_one(self):
         verts = enumerate_vertices(build_q_delta(2, 2))
         assert len(verts) == 4   # golden from first verified run

@@ -43,10 +43,72 @@ def test_master_lps_match_scipy_linprog_bitwise(monkeypatch):
         assert res.fun == ref.fun
 
 
+# x0 <= -1 and x0 >= 1
+INFEASIBLE = (np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]),
+              np.zeros((0, 1)), np.zeros(0), np.array([(-2.0, 2.0)]))
+
+
+def _master_lps(monkeypatch, delta):
+    """The arguments of every master LP of c_delta(delta), in order."""
+    return [args for args, _ in
+            _record_master_lps(monkeypatch, [lambda: strength.c_delta(delta)])]
+
+
+def _fresh_solve(monkeypatch, args):
+    """linprog on a new HiGHS object: its result and the object."""
+    highs = _core._Highs()
+    assert highs.passOptions(_highs._OPTIONS) == _core.HighsStatus.kOk
+    with monkeypatch.context() as patch:
+        patch.setattr(_highs, "_HIGHS", highs)
+        return _highs.linprog(*args), highs
+
+
+def _assert_solves_as_fresh(monkeypatch, args):
+    """A solve on the module's one object equals a solve on a new object, bit
+    for bit, in as many simplex iterations (so it started cold); returns
+    that count."""
+    ref, highs = _fresh_solve(monkeypatch, args)
+    res = _highs.linprog(*args)
+    assert (res.success, res.message) == (ref.success, ref.message)
+    assert (res.x is None and ref.x is None) or np.array_equal(res.x, ref.x)
+    assert res.fun == ref.fun
+    iterations = highs.getInfo().simplex_iteration_count
+    assert _highs._HIGHS.getInfo().simplex_iteration_count == iterations
+    return iterations
+
+
+def test_a_warm_start_shows_in_the_iteration_count(monkeypatch):
+    # run() again without passing the model restarts from the last basis;
+    # so equal counts in the tests below rule a warm start out
+    args = _master_lps(monkeypatch, 1.0)[-1]
+    _, highs = _fresh_solve(monkeypatch, args)
+    cold = highs.getInfo().simplex_iteration_count
+    assert highs.run() == _core.HighsStatus.kOk
+    assert highs.getInfo().simplex_iteration_count < cold
+
+
+def test_same_lp_three_times_solves_cold(monkeypatch):
+    args = _master_lps(monkeypatch, 1.0)[-1]
+    counts = [_assert_solves_as_fresh(monkeypatch, args) for _ in range(3)]
+    assert counts[0] > 0
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_master_lps_of_one_shape_back_to_back(monkeypatch, k):
+    # the k-th master LP of each delta: the polytope and k rounds of cuts
+    lps = [_master_lps(monkeypatch, d)[k] for d in (0.3, 0.9, 1.5, 2.0)]
+    assert len({args[1].shape for args in lps}) == 1
+    assert sum(_assert_solves_as_fresh(monkeypatch, args) for args in lps) > 0
+
+
+def test_feasible_lp_after_an_infeasible_one(monkeypatch):
+    args = _master_lps(monkeypatch, 0.9)[-1]
+    _assert_solves_as_fresh(monkeypatch, INFEASIBLE)
+    assert _assert_solves_as_fresh(monkeypatch, args) > 0
+
+
 def test_infeasible_lp_fails_with_highs_status():
-    # x0 <= -1 and x0 >= 1
-    res = _highs.linprog(np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]),
-                         np.zeros((0, 1)), np.zeros(0), np.array([(-2.0, 2.0)]))
+    res = _highs.linprog(*INFEASIBLE)
     assert res.success is False
     assert res.x is None
     status = _core._Highs().modelStatusToString(_core.HighsModelStatus.kInfeasible)
@@ -95,8 +157,8 @@ class TestFeasibilityCheck:
 def test_pinned_highs_core_api():
     """Every name of the bundled HiGHS core the adapter uses, and every option
     it sets, so a scipy upgrade that moves one fails here first."""
-    for name in ("HighsDebugLevel", "HighsLp", "HighsModelStatus", "HighsOptions",
-                 "HighsStatus", "MatrixFormat", "_Highs", "kHighsInf", "simplex_constants"):
+    for name in ("HighsDebugLevel", "HighsModelStatus", "HighsOptions", "HighsStatus",
+                 "MatrixFormat", "ObjSense", "_Highs", "kHighsInf", "simplex_constants"):
         assert hasattr(_core, name), name
     highs = _core._Highs()
     for method in ("passOptions", "passModel", "run", "getModelStatus", "modelStatusToString",
@@ -106,3 +168,13 @@ def test_pinned_highs_core_api():
         status, _ = highs.getOptionType(name)
         assert status == _core.HighsStatus.kOk, name
     assert highs.passOptions(_highs._OPTIONS) == _core.HighsStatus.kOk
+    # passModel's array overload: num_col, num_row, num_nz, format, sense,
+    # offset, cost, column bounds, row bounds, CSC arrays, integrality
+    one = np.ones(1)
+    status = highs.passModel(1, 1, 1, int(_core.MatrixFormat.kColwise),
+                             int(_core.ObjSense.kMinimize), 0.0, one, -one, one, -one, one,
+                             np.array([0, 1], dtype=np.int32), np.zeros(1, dtype=np.int32),
+                             one, np.zeros(1, dtype=np.int32))
+    assert status == _core.HighsStatus.kOk
+    assert highs.run() == _core.HighsStatus.kOk
+    assert highs.getInfo().objective_function_value == -1.0

@@ -264,10 +264,10 @@ class TestMinimaxSolver:
             assert abs(arr[6] - arr[7]) <= 1e-9   # <B_0E>_{A_0} = <B_0E>_{A_1}
 
     def test_nonconvergence_reports_budget(self):
-        poly = geometry.build_q_delta(2, 1.0)
+        rows = geometry.polytope_float(geometry.build_q_delta(2, 1.0))
         pairs = channels.family_index_pairs(2)
         with pytest.raises(channels.NoConvergence):
-            strength.minimax_capacity(poly, pairs, tol=1e-12, max_iter=2)
+            strength.minimax_capacity(rows, pairs, tol=1e-12, max_iter=2)
 
 
 class TestGridOracle:
