@@ -71,18 +71,19 @@ COMMANDS+=("oracle_bits|$OUT/oracle_bits.py")
 # the Kelley solver at full precision (the curve CSV prints 6 decimals only):
 # value, witness, gap and iterations, or the error, of every solve on the
 # m = 2 step-0.01 and m = 3 step-0.02 lattices, of relaxed m = 2 at five
-# deltas and of m = 4 at delta 1 and 2
+# deltas and of m = 4 at delta 0, 0.5, 1 and 2, all at tol 1e-4; then of m = 2
+# at tol 1e-7 on the 0.1 grid and of relaxed m = 2 at tol 1e-6 on the 0.05 grid
 cat >"$OUT/solver_bits.py" <<'EOF'
 from signalcap import strength
 
 
-def show(m, delta, relaxed=False):
+def show(m, delta, relaxed=False, tol=1e-4):
     try:
-        r = strength._solve(m, delta, 1e-4, relaxed)
-        print(m, delta, relaxed, repr(r.value), repr(r.witness.values.tolist()),
+        r = strength._solve(m, delta, tol, relaxed)
+        print(m, delta, relaxed, tol, repr(r.value), repr(r.witness.values.tolist()),
               repr(r.gap), r.iterations)
     except Exception as err:
-        print(m, delta, relaxed, type(err).__name__, err)
+        print(m, delta, relaxed, tol, type(err).__name__, err)
 
 
 for k in range(201):
@@ -91,8 +92,12 @@ for k in range(101):
     show(3, round(k * 0.02, 10))
 for delta in (0.2, 0.6, 1.0, 1.4, 2.0):
     show(2, delta, relaxed=True)
-for delta in (1.0, 2.0):
+for delta in (0.0, 0.5, 1.0, 2.0):
     show(4, delta)
+for k in range(21):
+    show(2, round(k * 0.1, 10), tol=1e-7)
+for k in range(41):
+    show(2, round(k * 0.05, 10), relaxed=True, tol=1e-6)
 EOF
 COMMANDS+=("solver_bits|$OUT/solver_bits.py")
 

@@ -57,30 +57,27 @@ def _csc(A: np.ndarray):
     return start, rows.astype(np.int32), A[rows, cols]
 
 
-def feasible(x, fun, slack, con, lb, ub) -> bool:
-    """linprog's check of a reported optimum: nothing NaN, and the bounds,
-    the inequality slacks and the equality residuals hold within FEAS_TOL."""
-    if np.isnan(fun) or np.isnan(x).any() or np.isnan(slack).any() or np.isnan(con).any():
+def feasible(x, fun, slack, lb, ub) -> bool:
+    """linprog's check of a reported optimum: nothing NaN, and the bounds and
+    the inequality slacks hold within FEAS_TOL."""
+    if np.isnan(fun) or np.isnan(x).any() or np.isnan(slack).any():
         return False
     return bool(np.all((x >= lb - FEAS_TOL) & (x <= ub + FEAS_TOL))
-                and not (slack < -FEAS_TOL).any()
-                and not (np.abs(con) > FEAS_TOL).any())
+                and not (slack < -FEAS_TOL).any())
 
 
-def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds) -> HighsResult:
-    """Minimize c.x subject to A_ub x <= b_ub, A_eq x = b_eq and the column
-    bounds, given as an (n, 2) array of (lower, upper).  Dense float inputs;
-    A_eq may have no rows.  Solves cold on the module's one HiGHS object, so
-    calls must not overlap: the adapter is single-threaded."""
-    A = np.vstack([A_ub, A_eq])
+def linprog(c, A_ub, b_ub, bounds) -> HighsResult:
+    """Minimize c.x subject to A_ub x <= b_ub and the column bounds, given as
+    an (n, 2) array of (lower, upper).  Dense float inputs.  Solves cold on
+    the module's one HiGHS object, so calls must not overlap: the adapter is
+    single-threaded."""
     lb, ub = np.asarray(bounds, dtype=float).T
-    start, index, value = _csc(A)
-    row_lower = np.concatenate([np.full(len(b_ub), -_core.kHighsInf), b_eq])
-    row_upper = np.concatenate([b_ub, b_eq])
+    start, index, value = _csc(A_ub)
+    row_lower = np.full(len(b_ub), -_core.kHighsInf)
     # the array overload of passModel: an LP has all columns continuous (0)
-    if _HIGHS.passModel(A.shape[1], A.shape[0], len(value), _COLWISE, _MINIMIZE, 0.0,
-                        c, lb, ub, row_lower, row_upper, start, index, value,
-                        np.zeros(A.shape[1], dtype=np.int32)) == _core.HighsStatus.kError:
+    if _HIGHS.passModel(A_ub.shape[1], A_ub.shape[0], len(value), _COLWISE, _MINIMIZE, 0.0,
+                        c, lb, ub, row_lower, b_ub, start, index, value,
+                        np.zeros(A_ub.shape[1], dtype=np.int32)) == _core.HighsStatus.kError:
         return HighsResult(False, None, None, "HiGHS rejected the model")
     run_failed = _HIGHS.run() == _core.HighsStatus.kError
     status = _HIGHS.getModelStatus()
@@ -90,10 +87,8 @@ def linprog(c, A_ub, b_ub, A_eq, b_eq, bounds) -> HighsResult:
     solution = _HIGHS.getSolution()
     x = np.array(solution.col_value)
     fun = _HIGHS.getInfo().objective_function_value
-    rows = np.array(solution.row_value)
-    slack = b_ub - rows[:len(b_ub)]
-    con = b_eq - rows[len(b_ub):]
-    if not feasible(x, fun, slack, con, lb, ub):
+    slack = b_ub - np.array(solution.row_value)
+    if not feasible(x, fun, slack, lb, ub):
         return HighsResult(False, x, fun, "HiGHS optimum violates the constraints "
                            f"by more than {FEAS_TOL:.2e}")
     return HighsResult(True, x, fun, "optimal")

@@ -43,7 +43,8 @@ class NotNormalized(BoxError):
 
 
 class BoxFormatError(BoxError):
-    """JSON reader error; the message names the offending path."""
+    """JSON reader error.  Its message names no file; check-box prefixes
+    the file's path."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -511,6 +512,6 @@ def load_box(path) -> TripartiteBox:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise BoxFormatError(f"{path}: not valid JSON ({err})") from err
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise BoxFormatError(f"not valid JSON ({err})") from err
     return box_from_json_dict(doc)

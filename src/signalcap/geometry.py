@@ -254,24 +254,29 @@ def polytope_float(poly: HPolytope):
 
 @functools.lru_cache(maxsize=None)
 def _q_delta_matrix(m: int, relaxed: bool) -> np.ndarray:
-    """The float inequality matrix of Q_delta(m), read-only: no entry of it
-    depends on delta."""
-    A_ub = polytope_float(build_q_delta(m, 0, relaxed))[0]
-    A_ub.flags.writeable = False
-    return A_ub
+    """-all_summed_constraints(m), zero-padded to the (m, relaxed) layout,
+    read-only: no entry of it depends on delta."""
+    dim = len(boxes.correlator_layout(m, relaxed))   # its m >= 2 error comes first
+    summed = monogamy.all_summed_constraints(m)
+    A = np.zeros((len(summed), dim))
+    A[:, :summed.shape[1]] -= summed
+    A.flags.writeable = False
+    return A
 
 
 def q_delta_float(m: int, delta, relaxed: bool = False):
-    """polytope_float(build_q_delta(m, delta, relaxed)), bit for bit, without
-    its rational rows: the matrix is built once per (m, relaxed) and shared
-    read-only, and only the right-hand side of the 4^(m-1) summed rows,
-    float(-d) for the rationalised d, depends on delta."""
+    """The 4^(m-1) summed rows A x <= b of Q_delta(m), in floats.
+
+    They lead the rows of polytope_float(build_q_delta(m, delta, relaxed));
+    its [-1, 1] box rows are left to a caller's column bounds.  The matrix is
+    built once per (m, relaxed) and shared read-only.  b is -delta as given
+    (+0.0 at delta 0), while build_q_delta rationalises delta, so the two
+    right-hand sides agree at short decimals only.
+    """
     if not 0 <= delta <= 2:
         raise ValueError(f"delta must lie in [0, 2], got {delta}")
-    A_ub = _q_delta_matrix(m, relaxed)
-    b_ub = np.ones(len(A_ub))
-    b_ub[:4 ** (m - 1)] = float(-_rationalize(delta))
-    return A_ub, b_ub, np.zeros((0, A_ub.shape[1])), np.zeros(0)
+    A = _q_delta_matrix(m, relaxed)
+    return A, np.full(len(A), 0.0 - float(delta))
 
 
 def dump_h_representation(poly: HPolytope) -> str:

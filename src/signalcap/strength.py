@@ -10,8 +10,9 @@ by the one-parameter optimal family.  Each master LP of the cutting-plane
 loop goes to ``_highs.linprog``, which solves on scipy's bundled HiGHS core
 exactly what ``scipy.optimize.linprog(method="highs")`` would, minus its
 per-call wrapper.  It solves every LP cold on one module-level HiGHS object,
-so the solver is single-threaded.  The float rows of the polytope come from
-``geometry.q_delta_float``, whose matrix is built once per (m, relaxed).
+so the solver is single-threaded.  The polytope's rows are the summed rows
+of ``geometry.q_delta_float``, whose matrix is built once per (m, relaxed);
+its [-1, 1] box is the master LP's column bounds.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ def _family_eval(x, pairs):
 
 def minimax_capacity(rows, pairs, tol: float = 1e-4, max_iter: int = 800,
                      symmetrize_idx=None):
-    """Minimize the max channel capacity over the polytope A_ub x <= b_ub,
-    A_eq x = b_eq, given as rows = (A_ub, b_ub, A_eq, b_eq), the float rows
-    of geometry.polytope_float.
+    """Minimize the max channel capacity over the polytope A_ub x <= b_ub
+    inside the box [-1, 1]^d, given as rows = (A_ub, b_ub), for example
+    geometry.q_delta_float's summed rows.
 
     Kelley cutting planes: the master LP minimizes t over the polytope
     subject to all accumulated tangent cuts t >= g.c + off; its optimum is a
@@ -82,12 +83,11 @@ def minimax_capacity(rows, pairs, tol: float = 1e-4, max_iter: int = 800,
     relaxed mode; the projection never increases the objective and keeps
     polytope membership).
     """
-    A_ub, b_ub, A_eq, b_eq = rows
+    A_ub, b_ub = rows
     dim = A_ub.shape[1]
     nvar = dim + 1   # coordinates plus epigraph variable t
     c_obj = np.zeros(nvar)
     c_obj[-1] = 1.0
-    eq_A = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
     bounds = np.array([(-1.0, 1.0)] * dim + [(0.0, 1.0)])
 
     # one inequality matrix: the polytope's rows, then room for every cut
@@ -101,7 +101,7 @@ def minimax_capacity(rows, pairs, tol: float = 1e-4, max_iter: int = 800,
     best_x = None
     lower = 0.0
     for it in range(1, max_iter + 1):
-        res = linprog(c_obj, A[:rows], b[:rows], eq_A, b_eq, bounds)
+        res = linprog(c_obj, A[:rows], b[:rows], bounds)
         if not res.success:
             raise NoConvergence(it, best=(best_val, best_x),
                                 message=f"master LP failed: {res.message}")
@@ -247,14 +247,6 @@ def c2_analytic() -> C2Report:
 _SCAN_BLOCK_ELEMS = 1 << 14
 
 
-def _summed_rows(delta):
-    """Float rows (A, b) of the summed violation constraints A x <= b of
-    Q_delta(2), without its box rows +-x_k <= 1."""
-    A_ub, b_ub, _, _ = geometry.q_delta_float(2, delta)
-    summed = np.abs(A_ub).sum(axis=1) > 1      # a box row has one unit coefficient
-    return A_ub[summed], b_ub[summed]
-
-
 def _grid_refine(center, rows, step, refine_to):
     """Shrinking local scans around a feasible incumbent; returns best value
     and point.
@@ -263,10 +255,10 @@ def _grid_refine(center, rows, step, refine_to):
     c[k] + {-1, -1/2, 0, 1/2, 1} * cur clipped to [-1, 1], with cur halving
     from step while it exceeds refine_to.  A channel reads two axes, so its
     capacities are one 5 x 5 table broadcast over the other four.  A grid
-    point is feasible when each row of rows = _summed_rows(delta), its
-    left-hand side added up over the axes in the order k = 0..5, exceeds its
-    bound by at most 1e-12; the box rows +-x_k <= 1 hold exactly on the
-    clipped axes.  Ties go to the first point in row-major order (that of
+    point is feasible when no summed row of rows = geometry.q_delta_float(2,
+    delta), its left-hand side added up over the axes in the order k = 0..5,
+    exceeds its bound by more than 1e-12; the [-1, 1] box holds exactly on
+    the clipped axes.  Ties go to the first point in row-major order (that of
     meshgrid(indexing="ij")), and the centre moves only on a strict
     improvement.
     """
@@ -444,7 +436,7 @@ def grid_oracle(delta: float, step: float = 0.05, *, refine_to: float = 5e-5) ->
     if point is not None:
         seeds.append(point)
     seeds.append(optimal_family(delta).witness.as_array())
-    rows = _summed_rows(delta)
+    rows = geometry.q_delta_float(2, delta)
     best = incumbent
     for seed in seeds:
         val, _ = _grid_refine(seed, rows, step, refine_to)

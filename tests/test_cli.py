@@ -37,6 +37,16 @@ class TestCheckBox:
         bad = tmp_path / "cut.json"
         bad.write_text('{"m": 2, "table": [[[')
         assert main(["check-box", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not valid JSON (Expecting value: line 1 column 22 (char 21))\n")
+
+    def test_undecodable_bytes_exit_2_naming_the_file_once(self, tmp_path, capsys):
+        bad = tmp_path / "bytes.json"
+        bad.write_bytes(b"\xff\xfe{")
+        assert main(["check-box", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not valid JSON (") and err.endswith(")\n")
+        assert err.count(str(bad)) == 1
 
     def test_invalid_probabilities_exit_2(self, tmp_path, capsys):
         doc = boxes.box_to_json_dict(boxes.pr_times_coin())

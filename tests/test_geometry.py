@@ -377,14 +377,24 @@ class TestQDelta:
     @pytest.mark.parametrize("m, relaxed", [(2, False), (3, False), (4, False), (2, True)])
     @pytest.mark.parametrize("delta", [0, 0.37, 0.123456789, 2])
     def test_float_rows_equal_the_rational_rows(self, m, relaxed, delta):
-        # 0.123456789 is no lattice delta: limit_denominator moves it
-        fast = geometry.q_delta_float(m, delta, relaxed)
-        slow = geometry.polytope_float(build_q_delta(m, delta, relaxed))
-        for a, b in zip(fast, slow):
-            assert a.shape == b.shape and a.dtype == b.dtype
-            assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
-        assert not fast[0].flags.writeable
-        assert geometry.q_delta_float(m, 1.5, relaxed)[0] is fast[0]
+        # the summed rows lead build_q_delta's rows, and its box rows follow.
+        # Fraction(delta) is the float's exact value, which build_q_delta keeps
+        # as it is, so 0.123456789 is compared unrationalised too
+        A, b = geometry.q_delta_float(m, delta, relaxed)
+        k = 4 ** (m - 1)
+        A_full, b_full, _, _ = geometry.polytope_float(build_q_delta(m, F(delta), relaxed))
+        for fast, slow in ((A, A_full[:k]), (b, b_full[:k])):
+            assert fast.shape == slow.shape and fast.dtype == slow.dtype
+            assert fast.tobytes() == slow.tobytes()      # +0.0 stays +0.0
+        assert not A.flags.writeable
+        assert geometry.q_delta_float(m, 1.5, relaxed)[0] is A
+
+    def test_float_rows_take_delta_as_given(self):
+        # the exact path rationalises 0.123456789 to 10/81; the float rows
+        # answer for the delta they were given
+        assert build_q_delta(2, 0.123456789).inequalities[0][1] == -F(10, 81)
+        b = geometry.q_delta_float(2, 0.123456789)[1]
+        assert b.tobytes() == np.full(4, -0.123456789).tobytes()
 
     @pytest.mark.parametrize("delta", [-0.1, 2.5, float("nan")])
     def test_float_rows_reject_delta_outside_range(self, delta):

@@ -10,7 +10,7 @@ import pytest
 import scipy.optimize
 from scipy.optimize._highspy import _core
 
-from signalcap import _highs, strength
+from signalcap import _highs, channels, geometry, strength
 
 
 def _record_master_lps(monkeypatch, solves):
@@ -35,17 +35,45 @@ def test_master_lps_match_scipy_linprog_bitwise(monkeypatch):
               + [lambda d=d: strength.c_delta(d, relaxed=True) for d in (0.7, 1.8)])
     seen = _record_master_lps(monkeypatch, solves)
     assert len(seen) > 100
-    for (c, A_ub, b_ub, A_eq, b_eq, bounds), res in seen:
-        ref = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                                     bounds=bounds, method="highs")
+    for (c, A_ub, b_ub, bounds), res in seen:
+        ref = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
         assert res.success is bool(ref.success)
         assert np.array_equal(res.x, ref.x)
         assert res.fun == ref.fun
 
 
+@pytest.mark.parametrize("m, delta, relaxed",
+                         [(2, d, False) for d in (0.0, 0.35, 0.9, 1.45, 2.0)]
+                         + [(3, d, False) for d in (0.0, 0.5, 1.1, 1.5, 2.0)]
+                         + [(4, 1.0, False), (2, 0.7, True), (2, 1.8, True)])
+def test_summed_rows_solve_as_the_full_polytope(monkeypatch, m, delta, relaxed):
+    # q_delta_float leaves the [-1, 1] box to the column bounds; a Kelley
+    # solve over build_q_delta's rows, box rows included, is the reference
+    pairs = channels.family_index_pairs(m, relaxed)
+    sym = pairs[-1][1:] if relaxed else None
+    A, b = geometry.q_delta_float(m, delta, relaxed)
+    full = geometry.polytope_float(geometry.build_q_delta(m, delta, relaxed))[:2]
+    ref = strength.minimax_capacity(full, pairs, symmetrize_idx=sym)
+    out = []
+    seen = _record_master_lps(
+        monkeypatch, [lambda: out.append(strength.minimax_capacity((A, b), pairs,
+                                                                   symmetrize_idx=sym))])
+    (value, x, gap, iterations), = out
+    assert (value, gap, iterations) == (ref[0], ref[2], ref[3])
+    assert x.tobytes() == ref[1].tobytes()
+    # each master LP: the summed rows with a zero t column, then cuts
+    assert len(seen) == iterations
+    k = len(b)
+    assert k == 4 ** (m - 1)
+    for (_, A_ub, b_ub, _), _ in seen:
+        assert A_ub[:k, :-1].tobytes() == A.tobytes() and not A_ub[:k, -1].any()
+        assert b_ub[:k].tobytes() == b.tobytes()
+        assert np.all(A_ub[k:, -1] == -1.0)
+
+
 # x0 <= -1 and x0 >= 1
 INFEASIBLE = (np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]),
-              np.zeros((0, 1)), np.zeros(0), np.array([(-2.0, 2.0)]))
+              np.array([(-2.0, 2.0)]))
 
 
 def _master_lps(monkeypatch, delta):
@@ -115,42 +143,29 @@ def test_infeasible_lp_fails_with_highs_status():
     assert status in res.message
 
 
-def test_equality_rows_are_honoured():
-    # minimize -x0 - x1 with x0 + x1 = 1.5, x0 - x1 <= 0.5, both in [0, 1]
-    res = _highs.linprog(np.array([-1.0, -1.0]), np.array([[1.0, -1.0]]), np.array([0.5]),
-                         np.array([[1.0, 1.0]]), np.array([1.5]),
-                         np.array([(0.0, 1.0), (0.0, 1.0)]))
-    ref = scipy.optimize.linprog([-1.0, -1.0], A_ub=[[1.0, -1.0]], b_ub=[0.5],
-                                 A_eq=[[1.0, 1.0]], b_eq=[1.5], bounds=[(0, 1), (0, 1)],
-                                 method="highs")
-    assert res.success and ref.success
-    assert np.array_equal(res.x, ref.x) and res.fun == ref.fun == -1.5
-
-
 class TestFeasibilityCheck:
     X = np.array([0.5, 0.25])
     LB, UB = np.zeros(2), np.ones(2)
 
     def test_accepts_point_within_tolerance(self):
         assert _highs.feasible(self.X, 0.0, np.array([0.0, -0.5 * _highs.FEAS_TOL]),
-                               np.array([0.5 * _highs.FEAS_TOL]), self.LB, self.UB)
+                               self.LB, self.UB)
 
-    @pytest.mark.parametrize("x, slack, con", [
-        (X, np.array([0.1, -1e-3]), np.zeros(0)),        # an inequality row
-        (X, np.zeros(1), np.array([1e-3])),               # an equality row
-        (np.array([0.5, 1.001]), np.zeros(1), np.zeros(0)),   # a column bound
+    @pytest.mark.parametrize("x, slack", [
+        (X, np.array([0.1, -1e-3])),                # an inequality row
+        (np.array([0.5, 1.001]), np.zeros(1)),      # a column bound
     ])
-    def test_rejects_point_off_by_1e_3(self, x, slack, con):
-        assert not _highs.feasible(x, 0.0, slack, con, self.LB, self.UB)
+    def test_rejects_point_off_by_1e_3(self, x, slack):
+        assert not _highs.feasible(x, 0.0, slack, self.LB, self.UB)
 
-    @pytest.mark.parametrize("where", ["x", "fun", "slack", "con"])
+    @pytest.mark.parametrize("where", ["x", "fun", "slack"])
     def test_rejects_nan(self, where):
-        parts = {"x": self.X.copy(), "fun": 0.0, "slack": np.zeros(1), "con": np.zeros(1)}
+        parts = {"x": self.X.copy(), "fun": 0.0, "slack": np.zeros(1)}
         if where == "fun":
             parts["fun"] = np.nan
         else:
             parts[where][0] = np.nan
-        assert not _highs.feasible(parts["x"], parts["fun"], parts["slack"], parts["con"],
+        assert not _highs.feasible(parts["x"], parts["fun"], parts["slack"],
                                    self.LB, self.UB)
 
 

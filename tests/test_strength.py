@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,8 +68,9 @@ def brute_force_grid_min(delta, step, below=np.inf):
 
 def reference_grid_refine(center, delta, step, refine_to):
     """The refine as first written: every level stacks all 5^6 grid points
-    and tests them against every row of Q_delta, box rows included."""
-    rows = geometry.polytope_float(geometry.build_q_delta(2, delta))[0:2]
+    and tests them against every row of Q_delta, box rows included, at the
+    float delta's exact value (build_q_delta keeps a Fraction as it is)."""
+    rows = geometry.polytope_float(geometry.build_q_delta(2, Fraction(delta)))[0:2]
     A_ub, b_ub = rows
     pairs = channels.family_index_pairs(2)
     best_val, best_pt = np.inf, None
@@ -264,7 +266,7 @@ class TestMinimaxSolver:
             assert abs(arr[6] - arr[7]) <= 1e-9   # <B_0E>_{A_0} = <B_0E>_{A_1}
 
     def test_nonconvergence_reports_budget(self):
-        rows = geometry.polytope_float(geometry.build_q_delta(2, 1.0))
+        rows = geometry.q_delta_float(2, 1.0)
         pairs = channels.family_index_pairs(2)
         with pytest.raises(channels.NoConvergence):
             strength.minimax_capacity(rows, pairs, tol=1e-12, max_iter=2)
@@ -333,7 +335,7 @@ class TestGridOracle:
         centers = [strength._global_grid_scan(delta, step)[1],
                    optimal_family(delta).witness.as_array(),
                    np.clip(rng.uniform(-1.3, 1.3, 6), -1.0, 1.0)]   # some coordinates at +-1
-        rows = strength._summed_rows(delta)
+        rows = geometry.q_delta_float(2, delta)
         for center in centers:
             value, point = strength._grid_refine(center, rows, step, 5e-5)
             ref_value, ref_point = reference_grid_refine(center, delta, step, 5e-5)
@@ -343,7 +345,7 @@ class TestGridOracle:
     @pytest.mark.parametrize("delta, center", BOUNDARY_CENTRES)
     def test_refine_on_the_feasibility_threshold(self, delta, center):
         center = np.array([float.fromhex(v) for v in center])
-        value, point = strength._grid_refine(center, strength._summed_rows(delta), 0.05, 5e-5)
+        value, point = strength._grid_refine(center, geometry.q_delta_float(2, delta), 0.05, 5e-5)
         ref_value, ref_point = reference_grid_refine(center, delta, 0.05, 5e-5)
         assert value == ref_value
         assert np.array_equal(point, ref_point)
