@@ -70,16 +70,21 @@ EOF
 COMMANDS+=("oracle_bits|$OUT/oracle_bits.py")
 # the Kelley solver at full precision (the curve CSV prints 6 decimals only):
 # value, witness, gap and iterations, or the error, of every solve on the
-# m = 2 step-0.01 and m = 3 step-0.02 lattices, of relaxed m = 2 at five
-# deltas and of m = 4 at delta 0, 0.5, 1 and 2, all at tol 1e-4; then of m = 2
-# at tol 1e-7 on the 0.1 grid and of relaxed m = 2 at tol 1e-6 on the 0.05 grid
+# m = 2 step-0.01 and m = 3 step-0.02 lattices, of relaxed m = 2 on the
+# step-0.01 lattice and at five deltas, and of m = 4 at delta 0, 0.5, 1 and 2,
+# all at tol 1e-4; then of m = 2 at tol 1e-7 on the 0.1 grid and of relaxed
+# m = 2 at tol 1e-6 on the 0.05 grid.  Only the public entry points are
+# called, so the same file runs on both trees
 cat >"$OUT/solver_bits.py" <<'EOF'
 from signalcap import strength
 
 
 def show(m, delta, relaxed=False, tol=1e-4):
     try:
-        r = strength._solve(m, delta, tol, relaxed)
+        if relaxed:
+            r = strength.c_delta(delta, tol, relaxed=True)
+        else:
+            r = strength.chained_polytope_bound(m, delta, tol)
         print(m, delta, relaxed, tol, repr(r.value), repr(r.witness.values.tolist()),
               repr(r.gap), r.iterations)
     except Exception as err:
@@ -90,6 +95,8 @@ for k in range(201):
     show(2, round(k * 0.01, 10))
 for k in range(101):
     show(3, round(k * 0.02, 10))
+for k in range(201):
+    show(2, round(k * 0.01, 10), relaxed=True)
 for delta in (0.2, 0.6, 1.0, 1.4, 2.0):
     show(2, delta, relaxed=True)
 for delta in (0.0, 0.5, 1.0, 2.0):

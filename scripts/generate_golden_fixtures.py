@@ -16,20 +16,19 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from signalcap import strength  # noqa: E402
 
 STEP = 0.01
-REFINE_TO = 5e-5
 
 def main():
     values = {}
     for k in range(21):
         delta = round(0.1 * k, 10)
         t0 = time.time()
-        val = strength.grid_oracle(delta, step=STEP, refine_to=REFINE_TO)
+        val = strength.grid_oracle(delta, step=STEP)
         values[f"{delta:.1f}"] = round(val, 9)
         print(f"delta={delta:.1f}  c={val:.7f}  ({time.time()-t0:.1f}s)", flush=True)
     out = {
         "method": "grid_oracle",
         "step": STEP,
-        "refine_to": REFINE_TO,
+        "refine_to": strength.REFINE_TO,
         "values": values,
     }
     dest = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden" / "c_delta_m2.json"

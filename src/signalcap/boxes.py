@@ -106,6 +106,10 @@ def correlator(box: TripartiteBox, pair: str, setting_pair, conditioning=0) -> f
     s, t = setting_pair
     if pair not in ("AB", "AE", "BE"):
         raise ValueError(f"unknown pair {pair!r}")
+    if not 0 <= s < box.m:
+        raise IndexError(f"{pair[0]} setting {s} out of range")
+    if pair == "AB" and not 0 <= t < box.m:
+        raise IndexError(f"B setting {t} out of range")
     ab, ae, be = two_body_tables(box)
     if pair == "AB":
         if conditioning != 0:

@@ -47,7 +47,11 @@ class HPolytope:
 
 
 def _rationalize(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x).limit_denominator(10 ** 6)
+    """x as a Fraction: the short fraction whose float is x, else x's exact value."""
+    if isinstance(x, Fraction):
+        return x
+    short = Fraction(x).limit_denominator(10 ** 6)
+    return short if float(short) == x else Fraction(x)
 
 
 def _bounds_rows(dim, lo=-1, hi=1):
@@ -253,29 +257,27 @@ def polytope_float(poly: HPolytope):
 
 
 @functools.lru_cache(maxsize=None)
-def _q_delta_matrix(m: int, relaxed: bool) -> np.ndarray:
-    """-all_summed_constraints(m), zero-padded to the (m, relaxed) layout,
-    read-only: no entry of it depends on delta."""
-    dim = len(boxes.correlator_layout(m, relaxed))   # its m >= 2 error comes first
-    summed = monogamy.all_summed_constraints(m)
-    A = np.zeros((len(summed), dim))
-    A[:, :summed.shape[1]] -= summed
+def _q_delta_matrix(m: int) -> np.ndarray:
+    """-all_summed_constraints(m), read-only: no entry of it depends on
+    delta.  0.0 - v keeps the zero entries +0.0, as build_q_delta's are."""
+    boxes.correlator_layout(m)    # its m >= 2 error comes first
+    A = 0.0 - monogamy.all_summed_constraints(m)
     A.flags.writeable = False
     return A
 
 
-def q_delta_float(m: int, delta, relaxed: bool = False):
+def q_delta_float(m: int, delta):
     """The 4^(m-1) summed rows A x <= b of Q_delta(m), in floats.
 
-    They lead the rows of polytope_float(build_q_delta(m, delta, relaxed));
-    its [-1, 1] box rows are left to a caller's column bounds.  The matrix is
-    built once per (m, relaxed) and shared read-only.  b is -delta as given
-    (+0.0 at delta 0), while build_q_delta rationalises delta, so the two
-    right-hand sides agree at short decimals only.
+    They lead the rows of polytope_float(build_q_delta(m, delta)); its
+    [-1, 1] box rows are left to a caller's column bounds.  The matrix is
+    built once per m and shared read-only.  b is -delta as given (+0.0 at
+    delta 0); build_q_delta's rational delta has delta as its float, so the
+    two right-hand sides agree at every float delta.
     """
     if not 0 <= delta <= 2:
         raise ValueError(f"delta must lie in [0, 2], got {delta}")
-    A = _q_delta_matrix(m, relaxed)
+    A = _q_delta_matrix(m)
     return A, np.full(len(A), 0.0 - float(delta))
 
 

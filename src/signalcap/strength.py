@@ -11,14 +11,14 @@ loop goes to ``_highs.linprog``, which solves on scipy's bundled HiGHS core
 exactly what ``scipy.optimize.linprog(method="highs")`` would, minus its
 per-call wrapper.  It solves every LP cold on one module-level HiGHS object,
 so the solver is single-threaded.  The polytope's rows are the summed rows
-of ``geometry.q_delta_float``, whose matrix is built once per (m, relaxed);
-its [-1, 1] box is the master LP's column bounds.
+of ``geometry.q_delta_float``, whose matrix is built once per m; its
+[-1, 1] box is the master LP's column bounds.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,8 +67,7 @@ def _family_eval(x, pairs):
     return caps, G, off
 
 
-def minimax_capacity(rows, pairs, tol: float = 1e-4, max_iter: int = 800,
-                     symmetrize_idx=None):
+def minimax_capacity(rows, pairs, tol: float = 1e-4, max_iter: int = 800):
     """Minimize the max channel capacity over the polytope A_ub x <= b_ub
     inside the box [-1, 1]^d, given as rows = (A_ub, b_ub), for example
     geometry.q_delta_float's summed rows.
@@ -77,11 +76,6 @@ def minimax_capacity(rows, pairs, tol: float = 1e-4, max_iter: int = 800,
     subject to all accumulated tangent cuts t >= g.c + off; its optimum is a
     certified lower bound, the best evaluated iterate an upper bound.  Stops
     when the bracket closes below tol.  Deterministic.
-
-    symmetrize_idx, when given, replaces that coordinate pair of every
-    iterate by its mean before evaluation (used for the auxiliary channel in
-    relaxed mode; the projection never increases the objective and keeps
-    polytope membership).
     """
     A_ub, b_ub = rows
     dim = A_ub.shape[1]
@@ -107,9 +101,6 @@ def minimax_capacity(rows, pairs, tol: float = 1e-4, max_iter: int = 800,
                                 message=f"master LP failed: {res.message}")
         x = res.x[:dim].copy()
         lower = max(lower, float(res.fun))
-        if symmetrize_idx is not None:
-            i, j = symmetrize_idx
-            x[i] = x[j] = 0.5 * (x[i] + x[j])
         caps, G, off = _family_eval(x, pairs)
         f = float(caps.max())
         if f < best_val:
@@ -122,22 +113,6 @@ def minimax_capacity(rows, pairs, tol: float = 1e-4, max_iter: int = 800,
     raise NoConvergence(max_iter, best=(best_val, best_x))
 
 
-def _solve(m: int, delta: float, tol: float, relaxed: bool = False) -> StrengthResult:
-    """Min-max capacity over the m-setting violation polytope, labeled by m."""
-    rows = geometry.q_delta_float(m, delta, relaxed)
-    pairs = channels.family_index_pairs(m, relaxed)
-    sym = pairs[-1][1:] if relaxed else None   # the relaxed pair (x_A^0, y_A^0)
-    value, witness, gap, it = minimax_capacity(rows, pairs, tol, symmetrize_idx=sym)
-    label = "exact" if m == 2 else "conjectured lower bound"
-    return StrengthResult(float(delta), value, boxes.CorrelatorVector(m, witness, relaxed),
-                          label, gap, it)
-
-
-def c_delta(delta: float, tol: float = 1e-4, relaxed: bool = False) -> StrengthResult:
-    """Min-max capacity over the two-setting violation polytope."""
-    return _solve(2, delta, tol, relaxed)
-
-
 def chained_polytope_bound(m: int, delta: float, tol: float = 1e-4) -> StrengthResult:
     """Min-max capacity over the m-setting constraint family.
 
@@ -145,11 +120,29 @@ def chained_polytope_bound(m: int, delta: float, tol: float = 1e-4) -> StrengthR
     set, so this is the exact strength; for m >= 3 exactness rests on an
     unproved conjecture and the value is labeled a conjectured lower bound.
     """
-    if m == 2:
-        return c_delta(delta, tol)
     if m > 4:
         raise ValueError("constraint count 4^(m-1) kept tractable: m <= 4")
-    return _solve(m, delta, tol)
+    rows = geometry.q_delta_float(m, delta)
+    pairs = channels.family_index_pairs(m)
+    value, witness, gap, it = minimax_capacity(rows, pairs, tol)
+    label = "exact" if m == 2 else "conjectured lower bound"
+    return StrengthResult(float(delta), value, boxes.CorrelatorVector(m, witness),
+                          label, gap, it)
+
+
+def c_delta(delta: float, tol: float = 1e-4, relaxed: bool = False) -> StrengthResult:
+    """Min-max capacity over the two-setting violation polytope.
+
+    Relaxed mode adds the pair (x_A^0, y_A^0) = (<B_0 E>_{A_0}, <B_0 E>_{A_1})
+    and its channel S^0_{A->BE}.  Q_delta bounds that pair by the [-1, 1] box
+    alone and C(p, p) = 0, so the relaxed strength is the strict one, with
+    (-1, -1) appended to the witness.
+    """
+    res = chained_polytope_bound(2, delta, tol)
+    if not relaxed:
+        return res
+    witness = np.append(res.witness.values, (-1.0, -1.0))
+    return replace(res, witness=boxes.CorrelatorVector(2, witness, relaxed=True))
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +223,8 @@ def c2_analytic() -> C2Report:
     reduces to the equalization C(1, (1+a)/2) = C((1+a)/2, (1-a)/2) solved
     by bisection.  The strength is the smaller of the two.
     """
-    # region alpha <= 0 or beta <= 0: minimize max(C(1,(1+a)/2)) over a <= 0
-    alphas = np.linspace(-1.0, 0.0, 2001)
-    vals = channels.capacity_array(np.ones_like(alphas), (1.0 + alphas) / 2.0)
-    subregion = float(vals.min())
+    # region alpha <= 0 or beta <= 0: C(1, (1+a)/2) falls as a rises to 0
+    subregion = channels._capacity_pq(1.0, 0.5)
     fam = optimal_family(2.0)
     return C2Report(fam.x_star, min(fam.value, subregion), subregion)
 
@@ -246,14 +237,17 @@ def c2_analytic() -> C2Report:
 # few enough that a block's temporaries stay small.
 _SCAN_BLOCK_ELEMS = 1 << 14
 
+# The local refine halves its step while the step exceeds this.
+REFINE_TO = 5e-5
 
-def _grid_refine(center, rows, step, refine_to):
+
+def _grid_refine(center, rows, step):
     """Shrinking local scans around a feasible incumbent; returns best value
     and point.
 
     Each level scans the 5^6 tensor grid whose axis k is
     c[k] + {-1, -1/2, 0, 1/2, 1} * cur clipped to [-1, 1], with cur halving
-    from step while it exceeds refine_to.  A channel reads two axes, so its
+    from step while it exceeds REFINE_TO.  A channel reads two axes, so its
     capacities are one 5 x 5 table broadcast over the other four.  A grid
     point is feasible when no summed row of rows = geometry.q_delta_float(2,
     delta), its left-hand side added up over the axes in the order k = 0..5,
@@ -272,7 +266,7 @@ def _grid_refine(center, rows, step, refine_to):
     c = np.asarray(center, dtype=float)
     cur = step
     offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    while cur > refine_to:
+    while cur > REFINE_TO:
         axes = np.clip(c[:, None] + offsets * cur, -1.0, 1.0)      # axes[k]: axis k
         p = (1.0 + axes) / 2.0
         tables = channels.capacity_array(p[ix, :, None], p[iy, None, :])
@@ -415,22 +409,19 @@ def _global_grid_scan(delta: float, step: float):
     return float(incumbent), point
 
 
-def grid_oracle(delta: float, step: float = 0.05, *, refine_to: float = 5e-5) -> float:
+def grid_oracle(delta: float, step: float = 0.05) -> float:
     """Brute-force upper-bounding estimate of the two-setting strength.
 
     Scans the full six-dimensional correlator grid at the given step,
     restricted to polytope members, then refines locally around the grid
     incumbent (and around the optimal-family seed) with shrinking steps
-    down to refine_to, which must be finite and positive.  Only feasible
-    points can win, so the result upper-bounds the true minimum and
-    converges to it as step -> 0.
+    down to REFINE_TO.  Only feasible points can win, so the result
+    upper-bounds the true minimum and converges to it as step -> 0.
     """
     if not 0 < step <= 0.05 + 1e-12:
         raise ValueError("step must lie in (0, 0.05]")
     if not 0.0 <= delta <= 2.0:
         raise ValueError("delta must lie in [0, 2]")
-    if not 0.0 < refine_to < np.inf:
-        raise ValueError(f"refine_to must be finite and positive, got {refine_to}")
     incumbent, point = _global_grid_scan(delta, step)
     seeds = []
     if point is not None:
@@ -439,7 +430,7 @@ def grid_oracle(delta: float, step: float = 0.05, *, refine_to: float = 5e-5) ->
     rows = geometry.q_delta_float(2, delta)
     best = incumbent
     for seed in seeds:
-        val, _ = _grid_refine(seed, rows, step, refine_to)
+        val, _ = _grid_refine(seed, rows, step)
         best = min(best, val)
     return float(best)
 

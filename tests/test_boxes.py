@@ -115,6 +115,13 @@ class TestCorrelator:
         ("BE", (0, 0), 3, "A setting 3 out of range"),
         ("AE", (0, 0), -1, "B setting -1 out of range"),
         ("BE", (2, 0), -1, "A setting -1 out of range"),
+        # a negative setting once read the last one through numpy's indexing
+        ("AB", (-1, 0), 0, "A setting -1 out of range"),
+        ("AB", (3, 0), 0, "A setting 3 out of range"),
+        ("AB", (0, -1), 0, "B setting -1 out of range"),
+        ("AB", (0, 3), 0, "B setting 3 out of range"),
+        ("AE", (-1, 0), 0, "A setting -1 out of range"),
+        ("BE", (3, 0), 0, "B setting 3 out of range"),
     ])
     def test_bad_settings_raise_index_error(self, pair, sp, cond, msg):
         with pytest.raises(IndexError, match=msg):

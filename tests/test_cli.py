@@ -1,5 +1,6 @@
 import json
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -281,6 +282,12 @@ class TestDumpPolytope:
 
     def test_bad_delta_exits_2(self, capsys):
         assert main(["dump-polytope", "--m", "2", "--delta", "9"]) == 2
+
+    def test_tiny_delta_is_not_rounded_to_zero(self, capsys):
+        # 1e-7 is no short fraction's float, so the rows keep its exact value
+        assert main(["dump-polytope", "--m", "2", "--delta", "1e-7"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:5]
+        assert all(row.endswith(f" <= {-Fraction(1e-7)}") for row in rows)
 
     @pytest.mark.parametrize("delta, shown", [("inf", "inf"), ("-inf", "-inf"),
                                               ("1e400", "inf"), ("nan", "nan")])

@@ -375,26 +375,35 @@ class TestQDelta:
         assert poly.dim == 8 and len(poly.inequalities) == 4 + 16
 
     @pytest.mark.parametrize("m, relaxed", [(2, False), (3, False), (4, False), (2, True)])
-    @pytest.mark.parametrize("delta", [0, 0.37, 0.123456789, 2])
+    @pytest.mark.parametrize("delta", [0, 0.37, 0.123456789, 1e-7, 2])
     def test_float_rows_equal_the_rational_rows(self, m, relaxed, delta):
         # the summed rows lead build_q_delta's rows, and its box rows follow.
-        # Fraction(delta) is the float's exact value, which build_q_delta keeps
-        # as it is, so 0.123456789 is compared unrationalised too
-        A, b = geometry.q_delta_float(m, delta, relaxed)
-        k = 4 ** (m - 1)
-        A_full, b_full, _, _ = geometry.polytope_float(build_q_delta(m, F(delta), relaxed))
-        for fast, slow in ((A, A_full[:k]), (b, b_full[:k])):
+        # The relaxed pair (x_A^0, y_A^0) is in no summed row, so the relaxed
+        # polytope's summed rows are the strict ones, zero-padded
+        A, b = geometry.q_delta_float(m, delta)
+        k, dim = A.shape
+        assert k == 4 ** (m - 1)
+        A_full, b_full, _, _ = geometry.polytope_float(build_q_delta(m, delta, relaxed))
+        assert A_full.shape[1] == dim + 2 * relaxed and not A_full[:k, dim:].any()
+        for fast, slow in ((A, A_full[:k, :dim]), (b, b_full[:k])):
             assert fast.shape == slow.shape and fast.dtype == slow.dtype
             assert fast.tobytes() == slow.tobytes()      # +0.0 stays +0.0
         assert not A.flags.writeable
-        assert geometry.q_delta_float(m, 1.5, relaxed)[0] is A
+        assert geometry.q_delta_float(m, 1.5)[0] is A
 
     def test_float_rows_take_delta_as_given(self):
-        # the exact path rationalises 0.123456789 to 10/81; the float rows
-        # answer for the delta they were given
-        assert build_q_delta(2, 0.123456789).inequalities[0][1] == -F(10, 81)
+        # 10/81 is the nearest short fraction to 0.123456789 but not the
+        # fraction it is the float of, so both paths keep the float's value
+        assert build_q_delta(2, 0.123456789).inequalities[0][1] == -F(0.123456789)
         b = geometry.q_delta_float(2, 0.123456789)[1]
         assert b.tobytes() == np.full(4, -0.123456789).tobytes()
+
+    @pytest.mark.parametrize("x, want", [(0.37, F(37, 100)), (1 / 3, F(1, 3)),
+                                         (0.7, F(7, 10)), (2, F(2)), (F(1, 7), F(1, 7)),
+                                         (1e-7, F(1e-7)), (1.0000004, F(1.0000004))])
+    def test_rationalize_keeps_the_float_it_was_given(self, x, want):
+        # a short fraction is kept only when x is its float
+        assert geometry._rationalize(x) == want
 
     @pytest.mark.parametrize("delta", [-0.1, 2.5, float("nan")])
     def test_float_rows_reject_delta_outside_range(self, delta):
@@ -466,6 +475,11 @@ class TestBoxPolytope:
         # x_B^0 = x_B^1 = 1 is forced at delta = 2; ask for the opposite
         found, _ = geometry.box_preimage([F(0)] * 6, F(2))
         assert not found
+
+    def test_preimage_rejects_a_correlator_past_one(self):
+        # 1.0000004 is not the float of a short fraction; it once rounded to 1
+        assert geometry.box_preimage([0, 0, 1, 0, 1, 0], 0)[0]
+        assert geometry.box_preimage([0, 0, 1.0000004, 0, 1, 0], 0) == (False, None)
 
     def test_box_polytope_membership(self):
         # the twelve correlators of any symmetrized box with monogamy value

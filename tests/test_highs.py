@@ -48,19 +48,19 @@ def test_master_lps_match_scipy_linprog_bitwise(monkeypatch):
                          + [(4, 1.0, False), (2, 0.7, True), (2, 1.8, True)])
 def test_summed_rows_solve_as_the_full_polytope(monkeypatch, m, delta, relaxed):
     # q_delta_float leaves the [-1, 1] box to the column bounds; a Kelley
-    # solve over build_q_delta's rows, box rows included, is the reference
-    pairs = channels.family_index_pairs(m, relaxed)
-    sym = pairs[-1][1:] if relaxed else None
-    A, b = geometry.q_delta_float(m, delta, relaxed)
-    full = geometry.polytope_float(geometry.build_q_delta(m, delta, relaxed))[:2]
-    ref = strength.minimax_capacity(full, pairs, symmetrize_idx=sym)
+    # solve over build_q_delta's rows, box rows included, is the reference.
+    # Relaxed mode solves the strict master LPs
+    pairs = channels.family_index_pairs(m)
+    A, b = geometry.q_delta_float(m, delta)
+    full = geometry.polytope_float(geometry.build_q_delta(m, delta))[:2]
+    value, x, gap, iterations = strength.minimax_capacity(full, pairs)
     out = []
     seen = _record_master_lps(
-        monkeypatch, [lambda: out.append(strength.minimax_capacity((A, b), pairs,
-                                                                   symmetrize_idx=sym))])
-    (value, x, gap, iterations), = out
-    assert (value, gap, iterations) == (ref[0], ref[2], ref[3])
-    assert x.tobytes() == ref[1].tobytes()
+        monkeypatch, [lambda: out.append(strength.c_delta(delta, relaxed=True) if relaxed
+                                         else strength.chained_polytope_bound(m, delta))])
+    res, = out
+    assert (res.value, res.gap, res.iterations) == (value, gap, iterations)
+    assert res.witness.values[:x.size].tobytes() == x.tobytes()
     # each master LP: the summed rows with a zero t column, then cuts
     assert len(seen) == iterations
     k = len(b)

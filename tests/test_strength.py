@@ -265,6 +265,28 @@ class TestMinimaxSolver:
             arr = res.witness.as_array()
             assert abs(arr[6] - arr[7]) <= 1e-9   # <B_0E>_{A_0} = <B_0E>_{A_1}
 
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6])
+    @pytest.mark.parametrize("delta", [0.2, 0.7, 1.0, 1.8, 2.0])
+    def test_relaxed_is_the_strict_solve_plus_an_equal_pair(self, delta, tol):
+        # Q_delta bounds (x_A^0, y_A^0) by the box alone and C(p, p) = 0, so
+        # the relaxed strength is the strict one, read off the strict solve
+        strict = c_delta(delta, tol)
+        relaxed = c_delta(delta, tol, relaxed=True)
+        assert (relaxed.value, relaxed.gap, relaxed.iterations) == (
+            strict.value, strict.gap, strict.iterations)
+        assert relaxed.witness.relaxed and relaxed.witness.values.shape == (8,)
+        assert relaxed.witness.values[:6].tobytes() == strict.witness.values.tobytes()
+        assert relaxed.witness.values[6:].tolist() == [-1.0, -1.0]
+        label, ix, iy = channels.family_index_pairs(2, relaxed=True)[-1]
+        p, q = (1.0 + relaxed.witness.values[[ix, iy]]) / 2.0
+        assert label == "S^0_{A->BE}" and channels._capacity_pq(p, q) == 0.0
+        # an independent reference: Kelley over the full relaxed polytope,
+        # the pair's two columns free and unprojected
+        rows = geometry.polytope_float(geometry.build_q_delta(2, delta, relaxed=True))[:2]
+        value, _, _, _ = strength.minimax_capacity(
+            rows, channels.family_index_pairs(2, relaxed=True), tol)
+        assert abs(value - strict.value) <= tol
+
     def test_nonconvergence_reports_budget(self):
         rows = geometry.q_delta_float(2, 1.0)
         pairs = channels.family_index_pairs(2)
@@ -337,7 +359,7 @@ class TestGridOracle:
                    np.clip(rng.uniform(-1.3, 1.3, 6), -1.0, 1.0)]   # some coordinates at +-1
         rows = geometry.q_delta_float(2, delta)
         for center in centers:
-            value, point = strength._grid_refine(center, rows, step, 5e-5)
+            value, point = strength._grid_refine(center, rows, step)
             ref_value, ref_point = reference_grid_refine(center, delta, step, 5e-5)
             assert value == ref_value
             assert np.array_equal(point, ref_point)
@@ -345,7 +367,7 @@ class TestGridOracle:
     @pytest.mark.parametrize("delta, center", BOUNDARY_CENTRES)
     def test_refine_on_the_feasibility_threshold(self, delta, center):
         center = np.array([float.fromhex(v) for v in center])
-        value, point = strength._grid_refine(center, geometry.q_delta_float(2, delta), 0.05, 5e-5)
+        value, point = strength._grid_refine(center, geometry.q_delta_float(2, delta), 0.05)
         ref_value, ref_point = reference_grid_refine(center, delta, 0.05, 5e-5)
         assert value == ref_value
         assert np.array_equal(point, ref_point)
@@ -353,12 +375,6 @@ class TestGridOracle:
     def test_pinned_bits(self):
         for delta, bits in ORACLE_BITS.items():
             assert grid_oracle(delta, step=0.05).hex() == bits
-
-    @pytest.mark.parametrize("refine_to", [-1.0, 0.0, float("nan"), float("inf")])
-    def test_refine_to_must_be_finite_and_positive(self, refine_to):
-        # -1.0 used to loop forever and nan skipped the refine
-        with pytest.raises(ValueError, match="refine_to"):
-            grid_oracle(1.0, refine_to=refine_to)
 
     @pytest.mark.parametrize("delta", [-0.1, 2.5, float("nan"), float("inf")])
     def test_delta_checked_before_any_work(self, delta, monkeypatch):
@@ -383,8 +399,9 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             grid_oracle(1.0, step=0.2)
 
-    def test_refine_to_is_keyword_only(self):
-        # a positional third argument once meant m; it must not set refine_to
+    def test_no_third_argument(self):
+        # a positional third argument once meant m; the refine's floor is the
+        # module constant REFINE_TO, not an argument
         with pytest.raises(TypeError):
             grid_oracle(1.0, 0.05, 2)
 
