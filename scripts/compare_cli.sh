@@ -107,6 +107,51 @@ for k in range(41):
     show(2, round(k * 0.05, 10), relaxed=True, tol=1e-6)
 EOF
 COMMANDS+=("solver_bits|$OUT/solver_bits.py")
+# the scalar closed form at full precision: the value and the tangent of
+# 20 000 seeded pairs and of the edges (p = q, p or q in {0, 1}, gaps of 1e-13
+# and around EPS_CAP, the solver's nudged and just-past-1 arguments), each
+# value or error; capacity_gradient reads a BinaryChannel, which rejects a
+# probability outside [0, 1]
+cat >"$OUT/capacity_bits.py" <<'EOF'
+import numpy as np
+
+from signalcap import channels
+
+rng = np.random.default_rng(23)
+pairs = rng.uniform(0.0, 1.0, (20000, 2)).tolist()
+special = [0.0, 1.0, 0.5, 0.3, 1e-300, 1.0 - 1e-16, (2.0 - 2e-9) / 2.0, 2e-9 / 2.0,
+           1.0000000013923993, 1.0000000014626873]
+pairs += [(p, q) for p in special for q in special]
+for p in (0.0, 0.3, 0.5, 0.7, 1.0):
+    for gap in (1e-13, 0.999e-12, 1e-12, 1.001e-12, 1e-9):
+        pairs += [(p, p + gap), (p, p - gap), (p + gap, p), (p - gap, p)]
+
+
+def show(f, *args):
+    try:
+        return repr(f(*args))
+    except Exception as err:
+        return f"{type(err).__name__} {err}"
+
+
+for p, q in pairs:
+    print(repr(p), repr(q), show(channels._capacity_pq, p, q),
+          show(lambda: channels.capacity_gradient(channels.BinaryChannel(p, q))))
+EOF
+COMMANDS+=("capacity_bits|$OUT/capacity_bits.py")
+# the optimal family at full precision on the step-0.01 lattice
+cat >"$OUT/family_bits.py" <<'EOF'
+from signalcap import strength
+
+for k in range(201):
+    delta = round(k * 0.01, 10)
+    try:
+        fam = strength.optimal_family(delta)
+        print(delta, repr(fam.x_star), repr(fam.value), repr(fam.witness.values.tolist()))
+    except Exception as err:
+        print(delta, type(err).__name__, err)
+EOF
+COMMANDS+=("family_bits|$OUT/family_bits.py")
 
 run_tree() {   # run_tree TREE DEST
     local tree dest entry name args

@@ -6,6 +6,12 @@ returns the same ``x`` and ``fun`` bit for bit.  It skips scipy's per-call
 wrapper: option validation, sparse conversion and input cleaning cost about
 three times HiGHS's own solve on the small master LPs of ``strength``.
 
+The inequality rows come row-wise, as the (start, index, value) arrays of
+their nonzeros, and go to HiGHS as they are.  HiGHS builds its column-wise
+copy with the row indices ascending in each column, which is the model
+scipy passes, so a caller that appends rows to its arrays in place need not
+rebuild or re-scan a dense matrix.
+
 Every call solves on one module-level HiGHS object, made with the options
 once.  A call passes the whole model anew, which drops the last basis, so
 each solve starts cold: no warm start, no persistent model.  The one object
@@ -34,7 +40,7 @@ for _name, _value in OPTIONS.items():
 _HIGHS = _core._Highs()
 if _HIGHS.passOptions(_OPTIONS) != _core.HighsStatus.kOk:
     raise RuntimeError("HiGHS rejected the options")
-_COLWISE = int(_core.MatrixFormat.kColwise)
+_ROWWISE = int(_core.MatrixFormat.kRowwise)
 _MINIMIZE = int(_core.ObjSense.kMinimize)
 
 # linprog's acceptance tolerance, 10 * sqrt(tol) at its default tol = 1e-9
@@ -48,36 +54,28 @@ class HighsResult(NamedTuple):
     message: str
 
 
-def _csc(A: np.ndarray):
-    """Column-wise (start, index, value) of the nonzeros of a dense matrix,
-    rows ascending within each column."""
-    cols, rows = np.nonzero(A.T)
-    start = np.zeros(A.shape[1] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=A.shape[1]), out=start[1:])
-    return start, rows.astype(np.int32), A[rows, cols]
-
-
 def feasible(x, fun, slack, lb, ub) -> bool:
     """linprog's check of a reported optimum: nothing NaN, and the bounds and
-    the inequality slacks hold within FEAS_TOL."""
-    if np.isnan(fun) or np.isnan(x).any() or np.isnan(slack).any():
-        return False
-    return bool(np.all((x >= lb - FEAS_TOL) & (x <= ub + FEAS_TOL))
-                and not (slack < -FEAS_TOL).any())
+    the inequality slacks hold within FEAS_TOL.  A NaN fails every
+    comparison, so the checks below reject it."""
+    return bool(fun == fun and ((x >= lb - FEAS_TOL) & (x <= ub + FEAS_TOL)).all()
+                and (slack >= -FEAS_TOL).all())
 
 
 def linprog(c, A_ub, b_ub, bounds) -> HighsResult:
-    """Minimize c.x subject to A_ub x <= b_ub and the column bounds, given as
-    an (n, 2) array of (lower, upper).  Dense float inputs.  Solves cold on
-    the module's one HiGHS object, so calls must not overlap: the adapter is
-    single-threaded."""
-    lb, ub = np.asarray(bounds, dtype=float).T
-    start, index, value = _csc(A_ub)
-    row_lower = np.full(len(b_ub), -_core.kHighsInf)
+    """Minimize c.x subject to A_ub x <= b_ub and lb <= x <= ub, given
+    bounds = (lb, ub).  A_ub is row-wise, (start, index, value): row i has
+    the entries value[start[i]:start[i + 1]] in the columns
+    index[start[i]:start[i + 1]], with int32 start and index.  Float
+    arrays.  Solves cold on the module's one HiGHS object, so calls must
+    not overlap: the adapter is single-threaded."""
+    lb, ub = bounds
+    start, index, value = A_ub
     # the array overload of passModel: an LP has all columns continuous (0)
-    if _HIGHS.passModel(A_ub.shape[1], A_ub.shape[0], len(value), _COLWISE, _MINIMIZE, 0.0,
-                        c, lb, ub, row_lower, b_ub, start, index, value,
-                        np.zeros(A_ub.shape[1], dtype=np.int32)) == _core.HighsStatus.kError:
+    if _HIGHS.passModel(len(c), len(b_ub), len(value), _ROWWISE, _MINIMIZE, 0.0,
+                        c, lb, ub, np.full(len(b_ub), -_core.kHighsInf), b_ub,
+                        start, index, value,
+                        np.zeros(len(c), dtype=np.int32)) == _core.HighsStatus.kError:
         return HighsResult(False, None, None, "HiGHS rejected the model")
     run_failed = _HIGHS.run() == _core.HighsStatus.kError
     status = _HIGHS.getModelStatus()
@@ -86,7 +84,7 @@ def linprog(c, A_ub, b_ub, bounds) -> HighsResult:
                            f"HiGHS model status {_HIGHS.modelStatusToString(status)}")
     solution = _HIGHS.getSolution()
     x = np.array(solution.col_value)
-    fun = _HIGHS.getInfo().objective_function_value
+    fun = _HIGHS.getObjectiveValue()
     slack = b_ub - np.array(solution.row_value)
     if not feasible(x, fun, slack, lb, ub):
         return HighsResult(False, x, fun, "HiGHS optimum violates the constraints "

@@ -46,29 +46,38 @@ class BinaryChannel:
                 raise ValueError(f"transition probability {name}={v} outside [0, 1]")
 
 
-def _tangent(p: float, q: float):
-    """C(p, q) and (dC/dp, dC/dq) from one entropy pair and one chord slope,
-    with the zero subgradient at the kink p = q.  Works on Python floats
-    (faster than numpy scalars, same bits) with Python's ``**`` (libm
-    ``pow``): numpy's array ``exp2`` rounds differently."""
-    p, q = float(p), float(q)
+def _value(p: float, q: float):
+    """C(p, q) and the chord slope s = (H(p) - H(q)) / (q - p) of the entropy,
+    from one entropy pair; s is None at the kink p = q, where C is 0.  Works
+    on Python floats (faster than numpy scalars, same bits) with Python's
+    ``**`` (libm ``pow``): numpy's array ``exp2`` rounds differently."""
     if abs(p - q) < EPS_CAP:
-        return 0.0, 0.0, 0.0
+        return 0.0, None
     hp, hq = binary_entropy(p), binary_entropy(q)
     d = q - p
     s = (hp - hq) / d
     val = (p * hq - q * hp) / d + np.log2(1.0 + 2.0 ** s)
+    return float(min(max(val, 0.0), 1.0)), s
+
+
+def _tangent(p: float, q: float):
+    """C(p, q) and (dC/dp, dC/dq): ``_value`` and the gradient read off its
+    chord slope, with the zero subgradient at the kink p = q."""
+    p, q = float(p), float(q)
+    cap, s = _value(p, q)
+    if s is None:
+        return 0.0, 0.0, 0.0
+    d = q - p
     q1 = 1.0 / (1.0 + 2.0 ** -s)            # optimal output P(Y=1)
     pi = min(max((q1 - p) / d, 0.0), 1.0)   # optimal input P(X=1)
     # log-odds log2((1 - u) / u), with u kept off 0 and 1
     l1, lp, lq = [np.log2((1.0 - u) / u)
                   for u in (min(max(v, 1e-300), 1.0 - 1e-16) for v in (q1, p, q))]
-    cap = float(min(max(val, 0.0), 1.0))
     return cap, float((1.0 - pi) * (l1 - lp)), float(pi * (l1 - lq))
 
 
 def _capacity_pq(p: float, q: float) -> float:
-    return _tangent(p, q)[0]
+    return _value(float(p), float(q))[0]
 
 
 def capacity(ch: BinaryChannel) -> float:

@@ -12,7 +12,10 @@ exactly what ``scipy.optimize.linprog(method="highs")`` would, minus its
 per-call wrapper.  It solves every LP cold on one module-level HiGHS object,
 so the solver is single-threaded.  The polytope's rows are the summed rows
 of ``geometry.q_delta_float``, whose matrix is built once per m; its
-[-1, 1] box is the master LP's column bounds.
+[-1, 1] box is the master LP's column bounds.  A solve keeps the master
+LP's rows row-wise, as the arrays of their nonzeros: the polytope's are
+written once, and each iteration appends its cut rows in place, one
+tangent per channel.
 """
 
 from __future__ import annotations
@@ -44,33 +47,45 @@ class StrengthResult:
 # ---------------------------------------------------------------------------
 # cutting-plane minimax solver
 
+# the box the tangents are taken in, 1e-9 inside [-1, 1] in probability
+_NUDGE_LO, _NUDGE_HI = -1.0 + 2e-9, 1.0 - 2e-9
+
+
 def _family_eval(x, pairs):
     """Capacities of every channel at x, and one tangent cut per channel:
-    C(c) >= G[k].c + off[k] in coordinate space.
+    C(c) >= g[k].c + off[k] in coordinate space, where g[k] is 0 but for
+    g[k][0] at pairs[k]'s x index and g[k][1] at its y index.
 
     The tangents are taken at a point nudged 1e-9 inside the box so the cuts
     stay finite at correlator values +-1; a cut then under-estimates the
-    true max everywhere, which is all the lower bound needs.
+    true max everywhere, which is all the lower bound needs.  Each channel
+    takes one tangent; only where the nudge moved one of its coordinates is
+    its capacity at x a second, value-only call.
     """
-    x = np.asarray(x, dtype=float)
-    xn = np.clip(x, -1.0 + 2e-9, 1.0 - 2e-9)
-    caps = np.empty(len(pairs))
-    G = np.zeros((len(pairs), x.size))
-    off = np.empty(len(pairs))
-    for k, (_, ix, iy) in enumerate(pairs):
-        caps[k] = channels._capacity_pq((1.0 + x[ix]) / 2.0, (1.0 + x[iy]) / 2.0)
+    xs = x.tolist()
+    caps, g, at, tangent = [], [], [], []
+    for _, ix, iy in pairs:
+        u, v = xs[ix], xs[iy]
+        un = min(max(u, _NUDGE_LO), _NUDGE_HI)
+        vn = min(max(v, _NUDGE_LO), _NUDGE_HI)
         cn, gp, gq = channels.capacity_gradient(
-            channels.BinaryChannel((1.0 + xn[ix]) / 2.0, (1.0 + xn[iy]) / 2.0))
-        G[k, ix] = gp / 2.0
-        G[k, iy] = gq / 2.0
-        off[k] = cn - G[k] @ xn
-    return caps, G, off
+            channels.BinaryChannel((1.0 + un) / 2.0, (1.0 + vn) / 2.0))
+        caps.append(cn if (un, vn) == (u, v)
+                    else channels._capacity_pq((1.0 + u) / 2.0, (1.0 + v) / 2.0))
+        g.append((gp / 2.0, gq / 2.0))
+        at.append((un, vn))
+        tangent.append(cn)
+    # off = C - g.xn as BLAS ddot forms g.xn, which the dense row product
+    # g @ xn called; over a row's two nonzeros np.vecdot makes the same call
+    off = np.array(tangent) - np.vecdot(np.array(g), np.array(at))
+    return caps, g, off
 
 
 def minimax_capacity(rows, pairs, tol: float = 1e-4, max_iter: int = 800):
     """Minimize the max channel capacity over the polytope A_ub x <= b_ub
     inside the box [-1, 1]^d, given as rows = (A_ub, b_ub), for example
-    geometry.q_delta_float's summed rows.
+    geometry.q_delta_float's summed rows.  Each pair's x index precedes its
+    y index, as in channels.family_index_pairs.
 
     Kelley cutting planes: the master LP minimizes t over the polytope
     subject to all accumulated tangent cuts t >= g.c + off; its optimum is a
@@ -79,37 +94,51 @@ def minimax_capacity(rows, pairs, tol: float = 1e-4, max_iter: int = 800):
     """
     A_ub, b_ub = rows
     dim = A_ub.shape[1]
-    nvar = dim + 1   # coordinates plus epigraph variable t
-    c_obj = np.zeros(nvar)
+    c_obj = np.zeros(dim + 1)    # coordinates plus epigraph variable t
     c_obj[-1] = 1.0
-    bounds = np.array([(-1.0, 1.0)] * dim + [(0.0, 1.0)])
+    bounds = (np.append(np.full(dim, -1.0), 0.0), np.ones(dim + 1))
 
-    # one inequality matrix: the polytope's rows, then room for every cut
-    # row (g, -1) <= -off; the master LP reads its first `rows` rows
+    # the master LP's rows, row-wise: the polytope's nonzeros, then room for
+    # every cut row (g, -1) <= -off, whose nonzeros are appended in place;
+    # the master LP reads the first `rows` rows
     rows = len(b_ub)
-    A = np.zeros((rows + max_iter * len(pairs), nvar))
-    A[:rows, :dim] = A_ub
-    A[rows:, -1] = -1.0
-    b = np.concatenate([b_ub, np.zeros(max_iter * len(pairs))])
+    cap_rows = rows + max_iter * len(pairs)
+    r, col = np.nonzero(A_ub)
+    start = np.zeros(cap_rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(r, minlength=rows), out=start[1:rows + 1])
+    index = np.empty(len(r) + 3 * max_iter * len(pairs), dtype=np.int32)
+    value = np.empty(len(index))
+    index[:len(r)] = col
+    value[:len(r)] = A_ub[r, col]
+    b = np.empty(cap_rows)
+    b[:rows] = b_ub
+    nnz = len(r)
     best_val = np.inf
     best_x = None
     lower = 0.0
     for it in range(1, max_iter + 1):
-        res = linprog(c_obj, A[:rows], b[:rows], bounds)
+        res = linprog(c_obj, (start[:rows + 1], index[:nnz], value[:nnz]), b[:rows], bounds)
         if not res.success:
             raise NoConvergence(it, best=(best_val, best_x),
                                 message=f"master LP failed: {res.message}")
         x = res.x[:dim].copy()
         lower = max(lower, float(res.fun))
-        caps, G, off = _family_eval(x, pairs)
-        f = float(caps.max())
+        caps, g, off = _family_eval(x, pairs)
+        f = max(caps)
         if f < best_val:
             best_val, best_x = f, x
         if best_val - lower <= tol:
             return best_val, best_x, best_val - lower, it
-        A[rows:rows + len(off), :dim] = G
-        b[rows:rows + len(off)] = -off
-        rows += len(off)
+        # a cut row's nonzeros in column order; exact zeros are left out
+        for (_, ix, iy), (gx, gy) in zip(pairs, g):
+            for j, gj in ((ix, gx), (iy, gy), (dim, -1.0)):
+                if gj != 0.0:
+                    index[nnz] = j
+                    value[nnz] = gj
+                    nnz += 1
+            rows += 1
+            start[rows] = nnz
+        b[rows - len(off):rows] = -off
     raise NoConvergence(max_iter, best=(best_val, best_x))
 
 

@@ -231,6 +231,17 @@ class TestClosedFormBitwise:
         for p, q in pairs:
             self._assert_same_bits(p, q)
 
+    def test_value_is_the_tangents_value(self):
+        # _capacity_pq stops at the value _tangent starts from: same bits
+        rng = np.random.default_rng(23)
+        pairs = [tuple(pq) for pq in rng.uniform(0.0, 1.0, (2000, 2)).tolist()]
+        pairs += [(p, p) for p in rng.uniform(0.0, 1.0, 100).tolist()]
+        pairs += [(p, min(p + 1e-13, 1.0)) for p in rng.uniform(0.0, 1.0, 100).tolist()]
+        pairs += [(e, q) for e in (0.0, 1.0) for q in rng.uniform(0.0, 1.0, 100).tolist()]
+        pairs += [(q, p) for p, q in pairs] + _edge_pairs()
+        for p, q in pairs:
+            assert channels._capacity_pq(p, q).hex() == channels._tangent(p, q)[0].hex(), (p, q)
+
     @pytest.mark.parametrize("swap", [False, True])
     def test_entropy_domain_error_unchanged(self, swap):
         # a master-LP iterate just outside [0, 1] (curve --m 2 --step 0.01)

@@ -8,6 +8,7 @@ to the last bit.
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 from scipy.optimize._highspy import _core
 
 from signalcap import _highs, channels, geometry, strength
@@ -29,6 +30,12 @@ def _record_master_lps(monkeypatch, solves):
     return seen
 
 
+def _dense(c, A_ub, b_ub):
+    """The dense matrix of the row-wise (start, index, value) rows."""
+    start, index, value = A_ub
+    return scipy.sparse.csr_array((value, index, start), shape=(len(b_ub), len(c))).toarray()
+
+
 def test_master_lps_match_scipy_linprog_bitwise(monkeypatch):
     solves = ([lambda d=d: strength.c_delta(d) for d in (0.0, 0.35, 0.9, 1.45, 2.0)]
               + [lambda d=d: strength.chained_polytope_bound(3, d) for d in (0.5, 1.5)]
@@ -36,7 +43,9 @@ def test_master_lps_match_scipy_linprog_bitwise(monkeypatch):
     seen = _record_master_lps(monkeypatch, solves)
     assert len(seen) > 100
     for (c, A_ub, b_ub, bounds), res in seen:
-        ref = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        # scipy takes the dense matrix and finds its nonzeros itself
+        ref = scipy.optimize.linprog(c, A_ub=_dense(c, A_ub, b_ub), b_ub=b_ub,
+                                     bounds=np.column_stack(bounds), method="highs")
         assert res.success is bool(ref.success)
         assert np.array_equal(res.x, ref.x)
         assert res.fun == ref.fun
@@ -65,15 +74,23 @@ def test_summed_rows_solve_as_the_full_polytope(monkeypatch, m, delta, relaxed):
     assert len(seen) == iterations
     k = len(b)
     assert k == 4 ** (m - 1)
-    for (_, A_ub, b_ub, _), _ in seen:
+    for (c, rows, b_ub, _), _ in seen:
+        # int32 rows of nonzeros, each in column order
+        start, index, value = rows
+        assert start.dtype == index.dtype == np.int32 and start[0] == 0
+        assert value.all() and len(value) == start[-1]
+        assert all(np.all(np.diff(index[i:j]) > 0) for i, j in zip(start[:-1], start[1:]))
+        A_ub = _dense(c, rows, b_ub)
         assert A_ub[:k, :-1].tobytes() == A.tobytes() and not A_ub[:k, -1].any()
         assert b_ub[:k].tobytes() == b.tobytes()
         assert np.all(A_ub[k:, -1] == -1.0)
 
 
 # x0 <= -1 and x0 >= 1
-INFEASIBLE = (np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]),
-              np.array([(-2.0, 2.0)]))
+INFEASIBLE = (np.array([1.0]),
+              (np.array([0, 1, 2], dtype=np.int32), np.zeros(2, dtype=np.int32),
+               np.array([1.0, -1.0])),
+              np.array([-1.0, -1.0]), (np.array([-2.0]), np.array([2.0])))
 
 
 def _master_lps(monkeypatch, delta):
@@ -125,7 +142,7 @@ def test_same_lp_three_times_solves_cold(monkeypatch):
 def test_master_lps_of_one_shape_back_to_back(monkeypatch, k):
     # the k-th master LP of each delta: the polytope and k rounds of cuts
     lps = [_master_lps(monkeypatch, d)[k] for d in (0.3, 0.9, 1.5, 2.0)]
-    assert len({args[1].shape for args in lps}) == 1
+    assert len({len(args[2]) for args in lps}) == 1
     assert sum(_assert_solves_as_fresh(monkeypatch, args) for args in lps) > 0
 
 
@@ -177,19 +194,19 @@ def test_pinned_highs_core_api():
         assert hasattr(_core, name), name
     highs = _core._Highs()
     for method in ("passOptions", "passModel", "run", "getModelStatus", "modelStatusToString",
-                   "getSolution", "getInfo", "getOptionType"):
+                   "getSolution", "getObjectiveValue", "getInfo", "getOptionType"):
         assert callable(getattr(highs, method)), method
     for name in _highs.OPTIONS:
         status, _ = highs.getOptionType(name)
         assert status == _core.HighsStatus.kOk, name
     assert highs.passOptions(_highs._OPTIONS) == _core.HighsStatus.kOk
     # passModel's array overload: num_col, num_row, num_nz, format, sense,
-    # offset, cost, column bounds, row bounds, CSC arrays, integrality
+    # offset, cost, column bounds, row bounds, row-wise arrays, integrality
     one = np.ones(1)
-    status = highs.passModel(1, 1, 1, int(_core.MatrixFormat.kColwise),
+    status = highs.passModel(1, 1, 1, int(_core.MatrixFormat.kRowwise),
                              int(_core.ObjSense.kMinimize), 0.0, one, -one, one, -one, one,
                              np.array([0, 1], dtype=np.int32), np.zeros(1, dtype=np.int32),
                              one, np.zeros(1, dtype=np.int32))
     assert status == _core.HighsStatus.kOk
     assert highs.run() == _core.HighsStatus.kOk
-    assert highs.getInfo().objective_function_value == -1.0
+    assert highs.getInfo().objective_function_value == highs.getObjectiveValue() == -1.0
