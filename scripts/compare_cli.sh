@@ -152,6 +152,15 @@ for k in range(201):
         print(delta, type(err).__name__, err)
 EOF
 COMMANDS+=("family_bits|$OUT/family_bits.py")
+# the minimal-set count of every size up to one past 2m
+cat >"$OUT/minimal_set_counts.py" <<'EOF'
+from signalcap import monogamy
+
+for m in (2, 3, 4):
+    for size in range(2 * m + 2):
+        print(m, size, monogamy.verify_minimal_set(m, size))
+EOF
+COMMANDS+=("minimal_set_counts|$OUT/minimal_set_counts.py")
 
 run_tree() {   # run_tree TREE DEST
     local tree dest entry name args

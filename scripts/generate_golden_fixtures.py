@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the grid-oracle golden values in tests/golden/.
 
-The committed numbers are produced by the independent brute-force grid
-search, not by the cutting-plane solver, so the solver can be certified
-against them.  Rerun after any change to the oracle and commit the diff
-consciously.
+The committed numbers are produced by the brute-force grid search, not by
+the cutting-plane solver, so the solver can be certified against them.  The
+search's refine around the optimal family's witness sets its value, so at
+m = 2 the numbers are not independent of the family.  Rerun after any change
+to the oracle and commit the diff consciously.
 """
 import json
 import pathlib

@@ -376,14 +376,11 @@ def local_deterministic(m: int, a_signs, b_signs, e_sign: int) -> TripartiteBox:
         raise ValueError("need one sign per setting for both parties")
     if any(s not in (-1, 1) for s in a_signs + b_signs + (int(e_sign),)):
         raise ValueError("signs must be +1 or -1")
-    t = np.zeros((m, m, 2, 2, 2))
-    ie = 0 if e_sign == 1 else 1
-    for i in range(m):
-        ia = 0 if a_signs[i] == 1 else 1
-        for j in range(m):
-            ib = 0 if b_signs[j] == 1 else 1
-            t[i, j, ia, ib, ie] = 1.0
-    return make_box(m, t)
+    # the strategy's index in _strategy_cells(m): its outcome bits, A's first
+    strategy = int("".join("0" if s == 1 else "1" for s in a_signs + b_signs + (e_sign,)), 2)
+    weights = np.zeros(len(_strategy_cells(m)))
+    weights[strategy] = 1.0
+    return make_box(m, _mixture_tables(m, weights))
 
 
 @lru_cache(maxsize=8)

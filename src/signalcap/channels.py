@@ -179,8 +179,9 @@ def capacity_oracle(ch: BinaryChannel, iters: int = 200, tol: float = 1e-8) -> f
 # channel families
 
 def correlator_to_probability(x: float) -> float:
-    """Affine map [-1, 1] -> [0, 1] taking a correlator to P(product = +1)."""
-    return (1.0 + x) / 2.0
+    """Affine map [-1, 1] -> [0, 1] taking a correlator to P(product = +1),
+    clipped to [0, 1], since a CorrelatorVector admits |x| <= 1 + 1e-9."""
+    return min(max((1.0 + x) / 2.0, 0.0), 1.0)
 
 
 def family_index_pairs(m: int, relaxed: bool = False):

@@ -261,11 +261,7 @@ def cmd_verify(args) -> int:
 # dump-polytope
 
 def cmd_dump_polytope(args) -> int:
-    try:
-        poly = geometry.build_q_delta(args.m, args.delta, relaxed=args.relaxed)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    poly = geometry.build_q_delta(args.m, args.delta, relaxed=args.relaxed)
     text = geometry.dump_h_representation(poly)
     if args.vertices:
         text += geometry.dump_v_representation(geometry.enumerate_vertices(poly))

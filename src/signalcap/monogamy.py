@@ -13,6 +13,7 @@ correlators.
 from __future__ import annotations
 
 import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,74 +216,36 @@ def verify_minimal_set(m: int, size=None) -> int:
     """Count multisets of triple inequalities summing to I_m + 2<B_0 E>.
 
     Works in the fully identified correlator space (conditionings dropped, as
-    for nonsignaling boxes) and searches exhaustively over all multisets of
-    the 4 m^2 candidate inequalities of the given size (default 2m).  The
-    expected count is 1 at size 2m and 0 below.
+    for nonsignaling boxes) over all multisets of the 4 m^2 candidate
+    inequalities of the given size (default 2m).  The expected count is 1 at
+    size 2m and 0 below.  A dynamic program over the setting pairs (i, j) in
+    row-major order: a pair takes a multiset of SIGN_PATTERNS whose <A_i B_j>
+    signs add up to its Bell coefficient; the state (picks used, <A_i E> of
+    row i, <B_j E>) -> count goes past row i only with <A_i E> = 0.
     """
     if not 2 <= m <= 4:
         raise ValueError("exhaustive search supported for 2 <= m <= 4")
     size = 2 * m if size is None else int(size)
+    bell = dict(boxes.chained_bell_terms(m))
 
-    target_ab = np.zeros((m, m), dtype=int)
-    for (i, j), sign in boxes.chained_bell_terms(m):
-        target_ab[i, j] += sign
-    target_be = np.zeros(m, dtype=int)
-    target_be[0] = 2
+    # per <A_i B_j> coefficient: the number of k-pattern multisets with each
+    # (k, <A_i E> shift, <B_j E> shift)
+    picks = defaultdict(Counter)
+    for k in range(size + 1):
+        for combo in itertools.combinations_with_replacement(SIGN_PATTERNS, k):
+            ab, be, ae = (sum(signs[c] for signs in combo) for c in range(3))
+            picks[ab][k, ae, be] += 1
 
-    pairs = [(i, j) for i in range(m) for j in range(m)]
-    # remaining minimum picks demanded by the Bell coefficients of the pairs
-    # not yet processed
-    tail_need = [0] * (len(pairs) + 1)
-    for idx in range(len(pairs) - 1, -1, -1):
-        i, j = pairs[idx]
-        tail_need[idx] = tail_need[idx + 1] + abs(int(target_ab[i, j]))
-
-    count = 0
-
-    def options(t: int, max_k: int):
-        """Picks of k <= max_k members for one setting pair whose AB
-        coefficient is t: counts (n0..n3) of the four sign patterns with
-        n1 + n2 - n0 - n3 = t.  Returns a list of (k, ae_d, be_d), the
-        pick's size and the shifts it gives the pair's AE and BE
-        coefficients, one entry per count tuple."""
-        opts = []
-        for k in range(abs(t), max_k + 1):
-            if (k - abs(t)) % 2:
-                continue
-            for n0 in range(k + 1):
-                for n1 in range(k - n0 + 1):
-                    for n2 in range(k - n0 - n1 + 1):
-                        n3 = k - n0 - n1 - n2
-                        if (n1 + n2) - (n0 + n3) != t:
-                            continue
-                        ae_d = (n0 + n1) - (n2 + n3)
-                        be_d = (n0 + n2) - (n1 + n3)
-                        opts.append((k, ae_d, be_d))
-        return opts
-
-    ae_dev = np.zeros(m, dtype=int)   # current minus target (target is 0)
-    be_dev = -target_be.copy()
-
-    def dfs(idx: int, used: int):
-        nonlocal count
-        if idx == len(pairs):
-            if used == size and not ae_dev.any() and not be_dev.any():
-                count += 1
-            return
-        remaining = size - used
-        if tail_need[idx] > remaining:
-            return
-        # each further pick moves one ae and one be coordinate by one unit
-        if np.abs(ae_dev).sum() > remaining or np.abs(be_dev).sum() > remaining:
-            return
-        i, j = pairs[idx]
-        t = int(target_ab[i, j])
-        for k, ae_d, be_d in options(t, remaining):
-            ae_dev[i] += ae_d
-            be_dev[j] += be_d
-            dfs(idx + 1, used + k)
-            ae_dev[i] -= ae_d
-            be_dev[j] -= be_d
-
-    dfs(0, 0)
-    return count
+    zero = (0,) * m
+    states = {(0, 0, zero): 1}
+    for i in range(m):
+        for j in range(m):
+            grown = Counter()
+            for (used, ae, be), count in states.items():
+                for (k, ae_d, be_d), ways in picks[bell.get((i, j), 0)].items():
+                    if used + k <= size:
+                        be_new = be[:j] + (be[j] + be_d,) + be[j + 1:]
+                        grown[used + k, ae + ae_d, be_new] += count * ways
+            states = grown
+        states = {key: count for key, count in states.items() if key[1] == 0}
+    return states.get((size, 0, (2,) + zero[1:]), 0)

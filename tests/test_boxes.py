@@ -235,6 +235,18 @@ class TestCanonicalBoxes:
         assert be[0, 0] == 1.0
         assert monogamy.monogamy_lhs(box).lhs == 4.0
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_local_deterministic_every_sign_choice(self, m):
+        for signs in itertools.product((1, -1), repeat=2 * m + 1):
+            a_signs, b_signs, e_sign = signs[:m], signs[m:2 * m], signs[-1]
+            want = np.zeros((m, m, 2, 2, 2))
+            for i in range(m):
+                for j in range(m):
+                    want[i, j, (1 - a_signs[i]) // 2, (1 - b_signs[j]) // 2,
+                         (1 - e_sign) // 2] = 1.0
+            box = boxes.local_deterministic(m, a_signs, b_signs, e_sign)
+            assert box.table.tobytes() == want.tobytes(), signs
+
     def test_random_nonsignaling_respects_monogamy(self):
         for seed in range(200):
             rep = monogamy.monogamy_lhs(boxes.random_nonsignaling(2, seed))

@@ -295,6 +295,18 @@ class TestChannelFamilies:
         vec = boxes.correlator_vector(boxes.random_nonsignaling(2, 1), relaxed=True)
         assert len(channels.channels_from_correlators(vec, relaxed=True)) == 4
 
+    def test_probability_clipped_to_unit_interval(self):
+        assert channels.correlator_to_probability(1.0 + 5e-10) == 1.0
+        assert channels.correlator_to_probability(-1.0 - 5e-10) == 0.0
+        assert channels.correlator_to_probability(0.25) == 0.625
+
+    def test_kelley_witness_a_hair_above_one(self):
+        from signalcap import strength
+        witness = strength.c_delta(2.0, 1e-6).witness
+        assert witness.values.max() > 1.0   # an admitted overshoot
+        fam = channels.channels_from_correlators(witness)
+        assert all(0.0 <= p <= 1.0 for _, ch in fam.channels for p in (ch.p, ch.q))
+
     def test_relaxed_needs_relaxed_vector(self):
         vec = boxes.correlator_vector(boxes.random_nonsignaling(2, 1))
         with pytest.raises(ValueError):

@@ -77,6 +77,16 @@ class TestCheckBox:
         assert capsys.readouterr().err == (
             f"error: {bad}: table[0][1][1][0][0]: expected a number, got bool\n")
 
+    def test_entries_just_above_one_are_accepted(self, tmp_path, capsys):
+        # every entry scaled by 1 + 5e-10 stays within make_box's slack, and
+        # its correlators of 1 + 5e-10 map to probability 1
+        m = 2
+        table = boxes.local_deterministic(m, [1] * m, [1] * m, 1).table * (1 + 5e-10)
+        path = tmp_path / "over.json"
+        boxes.save_box(boxes.make_box(m, table), path)
+        assert main(["check-box", str(path)]) == 0
+        assert "p=1.000000 q=1.000000 capacity=0.000000" in capsys.readouterr().out
+
     def test_relaxed_flag_adds_fourth_channel(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code = main(["check-box", str(DATA / "reference_box_delta2.json"),

@@ -258,6 +258,17 @@ class TestMinimalSet:
     def test_m4(self):
         assert verify_minimal_set(4) == 1
 
+    @pytest.mark.parametrize("m, sizes, counts", [
+        (2, 9, {4: 1, 8: 21}),
+        (3, 9, {6: 1}),
+        (4, 10, {8: 1}),
+    ])
+    def test_count_table(self, m, sizes, counts):
+        # multisets count tuples of sign patterns per setting pair, not
+        # orderings: at m = 2 the 21 sets of size 8 pin that
+        assert [verify_minimal_set(m, s) for s in range(sizes)] == \
+            [counts.get(s, 0) for s in range(sizes)]
+
     def test_bad_m(self):
         with pytest.raises(ValueError):
             verify_minimal_set(5)
