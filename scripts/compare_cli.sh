@@ -53,9 +53,12 @@ for demo in "$1"/demos/*.py; do
     COMMANDS+=("demo_$name|demos/$name.py")
 done
 # the grid oracle at full precision (demo 03 prints 6 decimals only), the
-# global scan at odd n (its lattice centre is no grid point) and the oracle at
-# step 0.01, from a script in OUT so that both trees run the same file
+# global scan at odd n (its lattice centre is no grid point), the oracle at
+# step 0.01 and the global scan at step 0.05 on the step-0.01 lattice and at
+# 50 seeded deltas, from a script in OUT so that both trees run the same file
 cat >"$OUT/oracle_bits.py" <<'EOF'
+import numpy as np
+
 from signalcap import strength
 
 for k in range(21):
@@ -66,6 +69,9 @@ for n in (5, 21, 45):
         print(n, d, repr(value), repr(point.tolist()))
 for d in (0.4, 1.0, 1.7):
     print(d, repr(strength.grid_oracle(d, step=0.01)))
+for d in [round(k * 0.01, 10) for k in range(201)] + np.random.default_rng(25).uniform(0, 2, 50).tolist():
+    value, point = strength._global_grid_scan(d, 0.05)
+    print(repr(d), repr(value), repr(point.tolist()))
 EOF
 COMMANDS+=("oracle_bits|$OUT/oracle_bits.py")
 # the Kelley solver at full precision (the curve CSV prints 6 decimals only):

@@ -357,6 +357,14 @@ def _global_grid_scan(delta: float, step: float):
     for n = 2 / step.  Each looked-up cell lies in its box, so the value is
     always that of a feasible grid point.
 
+    Reach: the two summed rows of Q_delta(2) whose A-terms cancel add up
+    to x_B^0 + x_B^1 >= delta.  The box bounds below say the same in grid
+    units: lu <= hu, and likewise lv <= hv, needs ix0 + ix1 >= n + du - eps
+    up to the rounding of the bounds' float sums, a few ulp of 3n (about
+    1e-12 at n = 2000, far below eps).  As neither ix exceeds n, a B-pair
+    with ix < du - 2 * eps has no feasible partner in either role, so it is
+    left out of the pair0 rows and the pair1 columns before the scan.
+
     Ties: the returned tuple is the first whose value equals the minimum in
     the order (rank of pair0 by C0, equal C0 by index; index of pair1).
     Pair0 rows go in blocks of about _SCAN_BLOCK_ELEMS elements, pruned by
@@ -364,7 +372,8 @@ def _global_grid_scan(delta: float, step: float):
     incumbent are left out.  The stale incumbent lets in only pairs no
     better than the final minimum, and a tie with an earlier pair loses, so
     the first minimum of a block in row-major order is the one a row-by-row
-    scan would keep.
+    scan would keep.  The dropped pairs never give a candidate and the kept
+    ones keep their order, so that first minimum is the same one.
     """
     n = int(round(2.0 / step))
     step = 2.0 / n
@@ -389,15 +398,17 @@ def _global_grid_scan(delta: float, step: float):
     dvals = pair_ix - pair_iy
     svals = pair_ix + pair_iy - n
     cvals = cap2d.ravel()
-    order0 = np.argsort(cvals, kind="stable")
-
     eps = 1e-9
+    reach = pair_ix >= du - 2 * eps
+    order0 = np.argsort(cvals, kind="stable")
+    order0 = order0[reach[order0]]
+
     incumbent = np.inf
     inc = None  # (pair0 flat index, pair1 flat index, A-box in ca's indices)
     start = 0
-    while start < cvals.size and cvals[order0[start]] < incumbent:
+    while start < order0.size and cvals[order0[start]] < incumbent:
         # a pair1 with C1 >= incumbent fails m01 < incumbent in every row
-        cols = np.flatnonzero(cvals < incumbent)
+        cols = np.flatnonzero(reach & (cvals < incumbent))
         block = order0[start: start + max(1, _SCAN_BLOCK_ELEMS // cols.size)]
         start += block.size
         c0, d0, s0 = cvals[block, None], dvals[block, None], svals[block, None]
@@ -444,9 +455,13 @@ def grid_oracle(delta: float, step: float = 0.05) -> float:
     upper-bounds the true minimum and converges to it as step -> 0.
     The family's witness makes the result depend on the family: at every
     nonzero delta of the 0.1 grid (step 0.05) its refine ends lowest.
+
+    step must lie in [0.001, 0.05]: the scan's O(n^2) memory for n = 2 / step
+    peaks at 374 MiB at step 0.001 (tracemalloc, delta 2), and a smaller step
+    would take the process down in the scan instead of raising.
     """
-    if not 0 < step <= 0.05 + 1e-12:
-        raise ValueError("step must lie in (0, 0.05]")
+    if not 0.001 <= step <= 0.05 + 1e-12:
+        raise ValueError(f"step must lie in [0.001, 0.05], got {step}")
     if not 0.0 <= delta <= 2.0:
         raise ValueError("delta must lie in [0, 2]")
     incumbent, point = _global_grid_scan(delta, step)

@@ -122,6 +122,69 @@ ORACLE_BITS = {
     2.0: "0x1.431f0240e3290p-3",
 }
 
+# _global_grid_scan(delta, step) as (value.hex(), [x.hex() for x in point]),
+# recorded before the scan left out the B-pairs that cannot reach Q_delta.
+# The cases leave out a fraction du / (n + 1) of the pairs, du = delta / step:
+# about 15% (0.3), half (1.0) or nearly all (1.9 to 2.0); du lands on an
+# integer (1.0, 2.0), within rounding of one (0.3 at 0.05 is
+# 5.999999999999999) or between two (1.95 at 0.1 is 19.5)
+SCAN_BITS = {
+    (0.3, 0.05): ("0x1.ddba692bef800p-10",
+                  ["0x1.99999999999a0p-5", "-0x1.9999999999990p-5", "0x1.3333333333338p-3",
+                   "0x1.99999999999a0p-5", "0x1.3333333333338p-3", "0x1.99999999999a0p-5"]),
+    (0.3, 0.1): ("0x1.e3da38464e800p-10",
+                 ["0x1.99999999999a0p-4", "0x0.0p+0", "0x1.99999999999a0p-4",
+                  "0x0.0p+0", "0x1.99999999999a0p-3", "0x1.99999999999a0p-4"]),
+    (0.3, 2 / 45): ("0x1.a486f76cc0200p-9",
+                    ["0x1.1111111111110p-4", "-0x1.1111111111110p-4", "0x1.3e93e93e93e98p-3",
+                     "0x1.1111111111110p-4", "0x1.3e93e93e93e98p-3", "0x1.1111111111110p-4"]),
+    (1.0, 0.05): ("0x1.77abc9f97d640p-6",
+                  ["0x0.0p+0", "-0x1.6666666666666p-2", "0x1.4cccccccccccep-1",
+                   "0x1.6666666666668p-2", "0x1.6666666666668p-2", "0x0.0p+0"]),
+    (1.0, 0.1): ("0x1.dbf209b244a80p-6",
+                 ["0x1.99999999999a0p-3", "-0x1.9999999999998p-3", "0x1.0000000000000p-1",
+                  "0x1.99999999999a0p-3", "0x1.0000000000000p-1", "0x1.99999999999a0p-3"]),
+    (1.0, 2 / 45): ("0x1.87af5dc6d4a00p-6",
+                    ["0x1.6c16c16c16c40p-6", "-0x1.5555555555554p-2", "0x1.49f49f49f49f6p-1",
+                     "0x1.5555555555558p-2", "0x1.82d82d82d82d8p-2", "0x1.6c16c16c16c40p-6"]),
+    (1.5, 0.05): ("0x1.dd92d64cc8c80p-5",
+                  ["0x1.99999999999a0p-3", "-0x1.6666666666666p-2", "0x1.999999999999ap-1",
+                   "0x1.6666666666668p-2", "0x1.6666666666668p-1", "0x1.99999999999a0p-3"]),
+    (1.5, 0.1): ("0x1.110b5aad5ca70p-4",
+                 ["0x1.99999999999a0p-3", "-0x1.9999999999998p-2", "0x1.999999999999ap-1",
+                  "0x1.999999999999cp-2", "0x1.6666666666668p-1", "0x1.99999999999a0p-3"]),
+    (1.5, 2 / 45): ("0x1.f55825b4e3f60p-5",
+                    ["0x1.f49f49f49f4a0p-3", "-0x1.5555555555554p-2", "0x1.8e38e38e38e3ap-1",
+                     "0x1.5555555555558p-2", "0x1.7777777777778p-1", "0x1.f49f49f49f4a0p-3"]),
+    (1.9, 0.05): ("0x1.e63b8398aafb8p-4",
+                  ["0x1.999999999999cp-2", "-0x1.9999999999998p-2", "0x1.e666666666668p-1",
+                   "0x1.999999999999cp-2", "0x1.e666666666668p-1", "0x1.999999999999cp-2"]),
+    (1.9, 0.1): ("0x1.235909c4b2da0p-3",
+                 ["0x1.99999999999a0p-3", "-0x1.3333333333333p-1", "0x1.0000000000000p+0",
+                  "0x1.3333333333334p-1", "0x1.ccccccccccccep-1", "0x1.99999999999a0p-3"]),
+    (1.9, 2 / 45): ("0x1.0775710a31080p-3",
+                    ["0x1.82d82d82d82d8p-2", "-0x1.b05b05b05b05ap-2", "0x1.e93e93e93e940p-1",
+                     "0x1.b05b05b05b05cp-2", "0x1.e93e93e93e940p-1", "0x1.82d82d82d82d8p-2"]),
+    (1.95, 0.05): ("0x1.284294b07a640p-3",
+                   ["0x1.0000000000000p-1", "-0x1.6666666666666p-2", "0x1.e666666666668p-1",
+                    "0x1.6666666666668p-2", "0x1.0000000000000p+0", "0x1.0000000000000p-1"]),
+    (1.95, 0.1): ("0x1.6a792b5968c20p-3",
+                  ["0x1.999999999999cp-2", "-0x1.0000000000000p-1", "0x1.0000000000000p+0",
+                   "0x1.0000000000000p-1", "0x1.0000000000000p+0", "0x1.999999999999cp-2"]),
+    (1.95, 2 / 45): ("0x1.232cbd298ef00p-3",
+                     ["0x1.5555555555558p-2", "-0x1.05b05b05b05b0p-1", "0x1.0000000000000p+0",
+                      "0x1.05b05b05b05b0p-1", "0x1.e93e93e93e940p-1", "0x1.5555555555558p-2"]),
+    (2.0, 0.05): ("0x1.4906ecd9d19a0p-3",
+                  ["0x1.cccccccccccd0p-2", "-0x1.cccccccccccccp-2", "0x1.0000000000000p+0",
+                   "0x1.cccccccccccd0p-2", "0x1.0000000000000p+0", "0x1.cccccccccccd0p-2"]),
+    (2.0, 0.1): ("0x1.6a792b5968c20p-3",
+                 ["0x1.999999999999cp-2", "-0x1.0000000000000p-1", "0x1.0000000000000p+0",
+                  "0x1.0000000000000p-1", "0x1.0000000000000p+0", "0x1.999999999999cp-2"]),
+    (2.0, 2 / 45): ("0x1.4e8f4c76e4600p-3",
+                    ["0x1.ddddddddddde0p-2", "-0x1.ddddddddddddep-2", "0x1.0000000000000p+0",
+                     "0x1.ddddddddddde0p-2", "0x1.0000000000000p+0", "0x1.ddddddddddde0p-2"]),
+}
+
 
 class TestGavaBound:
     def test_zero_at_zero(self):
@@ -297,15 +360,38 @@ class TestMinimaxSolver:
 class TestGridOracle:
     def test_factored_scan_equals_naive_brute_force(self):
         # (0.7, 0.1) and (1.3, 0.1) take more than one block of pair0 rows;
-        # steps 2/5 and 2/9 give odd n, whose lattice centre is no grid point
+        # steps 2/5 and 2/9 give odd n, whose lattice centre is no grid point;
+        # from (1.9, 0.1) on, most B-pairs cannot reach Q_delta, and the
+        # reference enumerates them all
         for delta, step in [(0.0, 0.5), (0.5, 0.5), (1.0, 0.5), (2.0, 0.5),
                             (0.3, 0.25), (1.7, 0.25), (0.7, 0.1), (1.3, 0.1),
-                            (0.6, 2 / 5), (1.2, 2 / 5), (0.9, 2 / 9), (1.6, 2 / 9)]:
+                            (0.6, 2 / 5), (1.2, 2 / 5), (0.9, 2 / 9), (1.6, 2 / 9),
+                            (1.9, 0.1), (2.0, 0.1), (1.55, 2 / 9), (1.8, 0.25)]:
             fast, point = strength._global_grid_scan(delta, step)
             assert fast == brute_force_grid_min(delta, step, below=fast)
             A_ub, b_ub, _, _ = geometry.polytope_float(geometry.build_q_delta(2, delta))
             assert (A_ub @ point - b_ub).max() <= 1e-12
             assert grid_max_capacity(point) == fast
+
+    @pytest.mark.parametrize("d", [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(19, 10),
+                                   Fraction(2)])
+    def test_two_summed_rows_bound_the_b_pairs(self, d):
+        # the fact the scan's reach rule rests on: the summed rows of
+        # Q_delta(2) whose A-terms cancel add up to 2 (x_B^0 + x_B^1) >= 2 d
+        names = [name for name, *_ in boxes.correlator_layout(2)]
+        summed = geometry.build_q_delta(2, d).inequalities[:4]    # the box rows follow
+        want = (tuple(Fraction(-2 if name in ("x_B^0", "x_B^1") else 0) for name in names),
+                -2 * d)
+        sums = [(tuple(a + b for a, b in zip(ra, rb)), ba + bb)
+                for (ra, ba), (rb, bb) in itertools.combinations(summed, 2)]
+        cancel = [s for s in sums
+                  if all(c == 0 for c, name in zip(s[0], names) if "_A^" in name)]
+        assert cancel == [want, want]
+
+    @pytest.mark.parametrize("delta, step", list(SCAN_BITS))
+    def test_scan_pinned_bits(self, delta, step):
+        value, point = strength._global_grid_scan(delta, step)
+        assert (value.hex(), [x.hex() for x in point]) == SCAN_BITS[delta, step]
 
     @pytest.mark.parametrize("delta, step", [(0.7, 0.1), (1.3, 0.1), (0.45, 0.05), (1.9, 0.05),
                                              (1.1, 2 / 45)])
@@ -398,6 +484,17 @@ class TestGridOracle:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             grid_oracle(1.0, step=0.2)
+
+    @pytest.mark.parametrize("step", [1e-4, 0.000999, 0.0, -0.01, float("nan")])
+    def test_step_checked_before_any_work(self, step, monkeypatch):
+        # a step below 0.001 would need the scan's O(n^2) memory at
+        # n = 2 / step > 2000: about 37 GiB at 1e-4
+        def scan(*args):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(strength, "_global_grid_scan", scan)
+        with pytest.raises(ValueError, match=r"step must lie in \[0.001, 0.05\]"):
+            grid_oracle(1.0, step=step)
 
     def test_no_third_argument(self):
         # a positional third argument once meant m; the refine's floor is the
