@@ -54,12 +54,14 @@ for demo in "$1"/demos/*.py; do
 done
 # the grid oracle at full precision (demo 03 prints 6 decimals only), the
 # global scan at odd n (its lattice centre is no grid point), the oracle at
-# step 0.01 and the global scan at step 0.05 on the step-0.01 lattice and at
-# 50 seeded deltas, from a script in OUT so that both trees run the same file
+# step 0.01, and at step 0.05 on the step-0.01 lattice and at 50 seeded
+# deltas the global scan and the local refine around each of the oracle's
+# two seeds (the scan point and the optimal family's witness), from a script
+# in OUT so that both trees run the same file
 cat >"$OUT/oracle_bits.py" <<'EOF'
 import numpy as np
 
-from signalcap import strength
+from signalcap import geometry, strength
 
 for k in range(21):
     print(repr(strength.grid_oracle(k / 10)))
@@ -72,6 +74,10 @@ for d in (0.4, 1.0, 1.7):
 for d in [round(k * 0.01, 10) for k in range(201)] + np.random.default_rng(25).uniform(0, 2, 50).tolist():
     value, point = strength._global_grid_scan(d, 0.05)
     print(repr(d), repr(value), repr(point.tolist()))
+    rows = geometry.q_delta_float(2, d)
+    for seed in (point, strength.optimal_family(d).witness.as_array()):
+        value, best = strength._grid_refine(seed, rows, 0.05)
+        print(repr(d), repr(value), repr(None if best is None else best.tolist()))
 EOF
 COMMANDS+=("oracle_bits|$OUT/oracle_bits.py")
 # the Kelley solver at full precision (the curve CSV prints 6 decimals only):

@@ -55,11 +55,16 @@ class TripartiteBox:
     table: np.ndarray
 
 
-def make_box(m, table) -> TripartiteBox:
-    """Validate a probability table of shape (m, m, 2, 2, 2) and wrap it."""
+def _settings_count(m) -> int:
+    """m as an int, or make_box's error if it is no integer >= 2."""
     if m != int(m) or m < 2:
         raise ValueError(f"need an integer number of settings m >= 2, got {m!r}")
-    m = int(m)
+    return int(m)
+
+
+def make_box(m, table) -> TripartiteBox:
+    """Validate a probability table of shape (m, m, 2, 2, 2) and wrap it."""
+    m = _settings_count(m)
     t = np.asarray(table, dtype=float)
     want = (m, m, 2, 2, 2)
     if t.shape != want:
@@ -370,6 +375,7 @@ def pr_times_coin(m: int = 2) -> TripartiteBox:
 
 def local_deterministic(m: int, a_signs, b_signs, e_sign: int) -> TripartiteBox:
     """Product box with fixed outcomes per setting."""
+    m = _settings_count(m)
     a_signs = tuple(int(s) for s in a_signs)
     b_signs = tuple(int(s) for s in b_signs)
     if len(a_signs) != m or len(b_signs) != m:

@@ -179,10 +179,10 @@ def sample_capacity_oracle(rng, n):
 def sample_convexity(rng, n):
     """Midpoint-convexity excesses C(midpoint) - mean C(endpoints), in each
     argument of the capacity, over n random triples (2n values; convexity
-    makes none positive)."""
+    makes none positive).  One (n, 3) draw takes the same numbers, and
+    leaves rng in the same state, as n draws of three."""
     excess = []
-    for _ in range(n):
-        p1, p2, q = rng.uniform(0, 1, 3)
+    for p1, p2, q in rng.uniform(0, 1, (n, 3)):
         excess.append(channels._capacity_pq(0.5 * (p1 + p2), q)
                       - 0.5 * (channels._capacity_pq(p1, q) + channels._capacity_pq(p2, q)))
         excess.append(channels._capacity_pq(q, 0.5 * (p1 + p2))

@@ -247,6 +247,11 @@ class TestCanonicalBoxes:
             box = boxes.local_deterministic(m, a_signs, b_signs, e_sign)
             assert box.table.tobytes() == want.tobytes(), signs
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_local_deterministic_needs_two_settings(self, m):
+        with pytest.raises(ValueError, match=f"need an integer number of settings m >= 2, got {m}"):
+            boxes.local_deterministic(m, [1] * m, [1] * m, 1)
+
     def test_random_nonsignaling_respects_monogamy(self):
         for seed in range(200):
             rep = monogamy.monogamy_lhs(boxes.random_nonsignaling(2, seed))

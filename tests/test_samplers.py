@@ -5,7 +5,7 @@ with the arithmetic those loops used, bit for bit."""
 import numpy as np
 import pytest
 
-from signalcap import boxes, cli, monogamy
+from signalcap import boxes, channels, cli, monogamy
 from signalcap.boxes import BoxError, NegativeProbability, NotNormalized
 from signalcap.monogamy import SIGN_PATTERNS, StrictModeInapplicable
 
@@ -183,6 +183,23 @@ class TestTripleSampler:
 
     def test_empty_sample(self):
         assert cli.sample_triple_inequalities(np.random.default_rng(0), 0) == 0
+
+
+class TestConvexitySampler:
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000])
+    def test_equals_the_reference_loop_bit_for_bit(self, n):
+        # the loop as first written: one scalar draw of three per triple
+        rng = np.random.default_rng(45)
+        want = []
+        cap = channels._capacity_pq
+        for _ in range(n):
+            p1, p2, q = rng.uniform(0, 1, 3)
+            want.append(cap(0.5 * (p1 + p2), q) - 0.5 * (cap(p1, q) + cap(p2, q)))
+            want.append(cap(q, 0.5 * (p1 + p2)) - 0.5 * (cap(q, p1) + cap(q, p2)))
+        got_rng = np.random.default_rng(45)
+        got = cli.sample_convexity(got_rng, n)
+        assert [x.hex() for x in got.tolist()] == [float(x).hex() for x in want]
+        assert got_rng.uniform() == rng.uniform()
 
 
 class TestStackKernels:

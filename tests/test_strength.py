@@ -186,6 +186,78 @@ SCAN_BITS = {
 }
 
 
+# _grid_refine(centre, q_delta_float(2, delta), step) keyed by (delta, step,
+# the centre's .hex()), as (value.hex(), [x.hex() for x in point]), recorded
+# before each level tested only the points that can beat its centre
+REFINE_BITS = {
+    # scan points; at delta 2 two coordinates lie at +1
+    (0.3, 0.05, ("0x1.99999999999a0p-5", "-0x1.9999999999990p-5", "0x1.3333333333338p-3",
+                 "0x1.99999999999a0p-5", "0x1.3333333333338p-3", "0x1.99999999999a0p-5")):
+        ("0x1.dc54d28defc00p-10",
+         ["0x1.9a6666666666dp-5", "-0x1.9b9999999998fp-5", "0x1.334ccccccccd3p-3",
+          "0x1.9b9999999999fp-5", "0x1.331999999999dp-3", "0x1.9a6666666666dp-5"]),
+    (1.0, 0.05, ("0x0.0p+0", "-0x1.6666666666666p-2", "0x1.4cccccccccccep-1",
+                 "0x1.6666666666668p-2", "0x1.6666666666668p-2", "0x0.0p+0")):
+        ("0x1.70d0eef4aa940p-6",
+         ["0x1.94ccccccccccep-7", "-0x1.574ccccccccccp-2", "0x1.487999999999cp-1",
+          "0x1.574cccccccccep-2", "0x1.6f0cccccccccep-2", "0x1.94ccccccccccep-7"]),
+    (1.5, 0.1, ("0x1.99999999999a0p-3", "-0x1.9999999999998p-2", "0x1.999999999999ap-1",
+                "0x1.999999999999cp-2", "0x1.6666666666668p-1", "0x1.99999999999a0p-3")):
+        ("0x1.d0f8f4106d540p-5",
+         ["0x1.dd9999999999fp-3", "-0x1.4b3ffffffffffp-2", "0x1.900cccccccccdp-1",
+          "0x1.4b40000000003p-2", "0x1.6ff3333333335p-1", "0x1.dd9999999999fp-3"]),
+    (2.0, 0.05, ("0x1.cccccccccccd0p-2", "-0x1.cccccccccccccp-2", "0x1.0000000000000p+0",
+                 "0x1.cccccccccccd0p-2", "0x1.0000000000000p+0", "0x1.cccccccccccd0p-2")):
+        ("0x1.431f50c7ed9c0p-3",
+         ["0x1.d5f3333333336p-2", "-0x1.d5f3333333333p-2", "0x1.0000000000000p+0",
+          "0x1.d5f3333333337p-2", "0x1.0000000000000p+0", "0x1.d5f3333333336p-2"]),
+    (1.9, 2 / 45, ("0x1.82d82d82d82d8p-2", "-0x1.b05b05b05b05ap-2", "0x1.e93e93e93e940p-1",
+                   "0x1.b05b05b05b05cp-2", "0x1.e93e93e93e940p-1", "0x1.82d82d82d82d8p-2")):
+        ("0x1.e331fd431c860p-4",
+         ["0x1.985b05b05b05bp-2", "-0x1.985b05b05b05bp-2", "0x1.e666666666668p-1",
+          "0x1.985b05b05b05dp-2", "0x1.e666666666668p-1", "0x1.985b05b05b05bp-2"]),
+    # optimal-family witnesses
+    (0.05, 0.05, ("0x1.1117800000000p-7", "-0x1.1117800000000p-7", "0x1.999999999999ap-6",
+                  "0x1.1117800000000p-7", "0x1.999999999999ap-6", "0x1.1117800000000p-7")):
+        ("0x1.a44c601db0000p-15",
+         ["0x1.1117800000000p-7", "-0x1.1117800000000p-7", "0x1.999999999999ap-6",
+          "0x1.1117800000000p-7", "0x1.999999999999ap-6", "0x1.1117800000000p-7"]),
+    (1.0, 0.05, ("0x1.63864de000000p-3", "-0x1.63864de000000p-3", "0x1.0000000000000p-1",
+                 "0x1.63864de000000p-3", "0x1.0000000000000p-1", "0x1.63864de000000p-3")):
+        ("0x1.65f843e203520p-6",
+         ["0x1.63864de000000p-3", "-0x1.63864de000000p-3", "0x1.0000000000000p-1",
+          "0x1.63864de000000p-3", "0x1.0000000000000p-1", "0x1.63864de000000p-3"]),
+    (2.0, 0.25, ("0x1.d5f3ad1c00000p-2", "-0x1.d5f3ad1c00000p-2", "0x1.0000000000000p+0",
+                 "0x1.d5f3ad1c00000p-2", "0x1.0000000000000p+0", "0x1.d5f3ad1c00000p-2")):
+        ("0x1.431f0240e3290p-3",
+         ["0x1.d5f3ad1c00000p-2", "-0x1.d5f3ad1c00000p-2", "0x1.0000000000000p+0",
+          "0x1.d5f3ad1c00000p-2", "0x1.0000000000000p+0", "0x1.d5f3ad1c00000p-2"]),
+    # feasible centres with coordinates at -1 and +1
+    (0.2, 0.05, ("-0x1.0000000000000p+0", "-0x1.1373f68eaaf40p-4", "0x1.0000000000000p+0",
+                 "-0x1.bd073c37bd3bap-1", "0x1.0000000000000p+0", "-0x1.39b01c558bfcep-2")):
+        ("0x1.316c5a18b22bfp-1",
+         ["-0x1.0000000000000p+0", "-0x1.565394e0ef13ap-3", "0x1.ccd9999999999p-1",
+          "-0x1.89e0d5d156d53p-1", "0x1.ccd9999999999p-1", "-0x1.9ffce92258c9bp-2"]),
+    (0.8, 0.1, ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.2be94e0700bdap-1",
+                "-0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0")):
+        ("0x1.2961eeb63427ep-2",
+         ["0x1.99a6666666666p-1", "0x1.99a6666666666p-1", "0x1.8b1f68dace481p-2",
+          "-0x1.99a6666666666p-1", "0x1.99a6666666666p-1", "0x1.99a6666666666p-1"]),
+    # centres that fail the float test, so every point may beat them: the
+    # optimal-family witnesses at delta 1.96 and 1.0
+    (2.0, 0.05, ("0x1.b674606666666p-2", "-0x1.b674606666666p-2", "0x1.f5c28f5c28f5cp-1",
+                 "0x1.b674606666666p-2", "0x1.f5c28f5c28f5cp-1", "0x1.b674606666666p-2")):
+        ("0x1.432002d0dc634p-3",
+         ["0x1.d5f4606666666p-2", "-0x1.d5f4606666666p-2", "0x1.0000000000000p+0",
+          "0x1.d5f4606666666p-2", "0x1.0000000000000p+0", "0x1.d5f4606666666p-2"]),
+    (1.04, 0.05, ("0x1.63864de000000p-3", "-0x1.63864de000000p-3", "0x1.0000000000000p-1",
+                  "0x1.63864de000000p-3", "0x1.0000000000000p-1", "0x1.63864de000000p-3")):
+        ("0x1.869259d280bc0p-6",
+         ["0x1.a5b9811333332p-3", "-0x1.40864de000000p-3", "0x1.fe7ffffffffffp-2",
+          "0x1.40864de000000p-3", "0x1.1540000000000p-1", "0x1.a5b9811333332p-3"]),
+}
+
+
 class TestGavaBound:
     def test_zero_at_zero(self):
         assert gava_bound(2, 0.0) == 0.0
@@ -457,6 +529,23 @@ class TestGridOracle:
         ref_value, ref_point = reference_grid_refine(center, delta, 0.05, 5e-5)
         assert value == ref_value
         assert np.array_equal(point, ref_point)
+
+    @pytest.mark.parametrize("delta, step, center", list(REFINE_BITS))
+    def test_refine_pinned_bits(self, delta, step, center):
+        value, point = strength._grid_refine(np.array([float.fromhex(v) for v in center]),
+                                             geometry.q_delta_float(2, delta), step)
+        assert (value.hex(), [x.hex() for x in point]) == REFINE_BITS[delta, step, center]
+
+    @pytest.mark.parametrize("delta, step, center", [
+        (2.0, 0.05, np.zeros(6)),
+        (0.6, 0.25, np.zeros(6)),
+        (1.9, 0.05, np.array([0.35, -0.86, 0.14, -0.84, 0.02, -0.41])),
+    ])
+    def test_refine_without_a_feasible_point(self, delta, step, center):
+        # every level's grid misses Q_delta: x_B^0 + x_B^1 >= delta is out of reach
+        rows = geometry.q_delta_float(2, delta)
+        assert strength._grid_refine(center, rows, step) == (np.inf, None)
+        assert reference_grid_refine(center, delta, step, 5e-5) == (np.inf, None)
 
     def test_pinned_bits(self):
         for delta, bits in ORACLE_BITS.items():
