@@ -8,8 +8,11 @@
 # (k = 0 .. PAIRS-1) uses seed 1000 + k in both trees; the parent runs first
 # in even pairs and the change runs first in odd ones.  T is run_seconds from
 # the BENCHMARK.json next to this script.  OUT.json receives every run's
-# metrics and, per end-to-end metric, each side's median and quartiles and
-# the number of pairs the change wins (ties count for neither side).
+# metrics and wall-clock seconds and, per end-to-end metric, each side's
+# median and quartiles and the number of pairs the change wins (ties count
+# for neither side).  The wall time is reported, with each side's median,
+# because perfbench counts only op time against T: a faster op fits more ops,
+# and so more answer checks, into a run, and the run takes longer.
 # Exit status: 0 when every run finished, 1 when a run failed (its output is
 # kept in the temporary directory named), 2 on bad arguments.
 set -u
@@ -29,10 +32,12 @@ SECONDS_PER_RUN=$(python3 -c "import json, sys; print(json.load(open(sys.argv[1]
 RUNS=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")
 
 run_side() {   # run_side SIDE TREE SEED PAIR
+    local start=$EPOCHREALTIME
     echo "pair $4 seed $3: $1" >&2
     (cd "$2" && python3 perfbench/run.py --workload "$WORKLOAD" --seed "$3" \
         --seconds "$SECONDS_PER_RUN" --trace 0) >"$RUNS/$4-$1.out" 2>"$RUNS/$4-$1.err" \
         || { echo "bench_pairs: $1 run of pair $4 failed, see $RUNS/$4-$1.err" >&2; exit 1; }
+    echo "$start $EPOCHREALTIME" >"$RUNS/$4-$1.wall"
 }
 
 for ((k = 0; k < PAIRS; k++)); do
@@ -61,10 +66,17 @@ def result(k, side):
         return json.loads(fh.read().strip().splitlines()[-1])
 
 
+def wall_s(k, side):
+    with open(f"{runs_dir}/{k}-{side}.wall") as fh:
+        start, end = map(float, fh.read().split())
+    return end - start
+
+
 runs = []
 for k in range(pairs):
     runs.append({"pair": k, "seed": 1000 + k, "first": "parent" if k % 2 == 0 else "change",
-                 "parent": result(k, "parent"), "change": result(k, "change")})
+                 "parent": result(k, "parent"), "change": result(k, "change"),
+                 "wall_s": {s: wall_s(k, s) for s in ("parent", "change")}})
 
 
 def spread(values):
@@ -85,6 +97,7 @@ for metric in metrics:
 for key in ("attempted", "failed"):
     summary[key] = {s: sum(r[s][key] for r in runs) for s in ("parent", "change")}
 summary["correct"] = all(r[s]["correct"] for r in runs for s in ("parent", "change"))
+summary["wall_s"] = {s: spread([r["wall_s"][s] for r in runs]) for s in ("parent", "change")}
 
 doc = {"workload": workload, "pairs": pairs, "seconds": float(seconds),
        "seeds": [r["seed"] for r in runs], "summary": summary, "runs": runs}
@@ -97,6 +110,9 @@ for name, s in summary.items():
               f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}], change "
               f"{s['change']['median']:.4g} [{s['change']['q1']:.4g}, {s['change']['q3']:.4g}], "
               f"change wins {s['change_wins']}/{pairs}")
+wall = summary["wall_s"]
+print(f"{workload} wall_s: parent median {wall['parent']['median']:.1f}, "
+      f"change median {wall['change']['median']:.1f}")
 print(f"{workload} failed: {summary['failed']}, correct: {summary['correct']}")
 EOF
 status=$?

@@ -173,6 +173,21 @@ for m in (2, 3, 4):
         print(m, size, monogamy.verify_minimal_set(m, size))
 EOF
 COMMANDS+=("minimal_set_counts|$OUT/minimal_set_counts.py")
+# the monogamy sampler's two maxima at full precision (verify properties
+# prints 9 decimals of the LHS and 1 digit of the spread), for every seed the
+# crosscheck workload draws, at n = one box, one short of a block, one over a
+# block and the 10 000 boxes verify properties draws
+cat >"$OUT/sampler_bits.py" <<'EOF'
+import numpy as np
+
+from signalcap import cli
+
+for seed in range(19):
+    for n in (1, 999, 1001, 10_000):
+        worst, worst_marginal = cli.sample_monogamy(np.random.default_rng(seed), n)
+        print(seed, n, worst.hex(), worst_marginal.hex())
+EOF
+COMMANDS+=("sampler_bits|$OUT/sampler_bits.py")
 
 run_tree() {   # run_tree TREE DEST
     local tree dest entry name args

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 PROB_TOL = 1e-12     # entries may undershoot zero by at most this
 NORM_TOL = 1e-9      # per-setting normalization slack
@@ -57,9 +58,13 @@ class TripartiteBox:
 
 def _settings_count(m) -> int:
     """m as an int, or make_box's error if it is no integer >= 2."""
-    if m != int(m) or m < 2:
+    try:
+        k = int(m)
+    except (ValueError, OverflowError):   # nan, inf
+        k = None
+    if k is None or m != k or m < 2:
         raise ValueError(f"need an integer number of settings m >= 2, got {m!r}")
-    return int(m)
+    return k
 
 
 def make_box(m, table) -> TripartiteBox:
@@ -436,8 +441,107 @@ def _strategy_weights(m: int, seed) -> np.ndarray:
     """Dirichlet(0.2) weights over the 2^(2m+1) local deterministic
     strategies, drawn by a generator of their own, np.random.default_rng(seed),
     so that a box is fixed by its seed alone, whatever else is drawn before
-    or beside it."""
+    or beside it.  This is the definition of a box's weights;
+    _strategy_weights_block draws the same bits for a block of seeds."""
     return np.random.default_rng(seed).dirichlet(np.full(len(_strategy_cells(m)), 0.2))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): each hash step
+# xors a 32-bit word with a running constant, advances the constant by its
+# multiplier, multiplies and folds the high half in with a 16-bit xorshift;
+# mix combines two words.  None of the constants depends on the seed.
+_INIT_A = 0x43b0d7e5
+_MULT_A = 0x931e8875
+_INIT_B = 0x8b51f9dd
+_MULT_B = 0x58f38ded
+_MIX_MULT_L = 0xca01f9dd
+_MIX_MULT_R = 0x4973f715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_steps(init: int, mult: int):
+    """The (xor, multiplier) constants of successive hash steps."""
+    const = init
+    while True:
+        advanced = const * mult & _MASK32
+        yield const, advanced
+        const = advanced
+
+
+def _hash(words, steps):
+    """One hash step on a uint32 array (which wraps mod 2^32, as C does)."""
+    xor, mult = next(steps)
+    words = (words ^ xor) * mult
+    return words ^ words >> _XSHIFT
+
+
+def _mix(x, y):
+    words = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return words ^ words >> _XSHIFT
+
+
+def _seed_states(seeds) -> np.ndarray:
+    """np.random.SeedSequence(int(s)).generate_state(4, np.uint64) for each
+    seed s of a 1-D block, shaped (n, 4): SeedSequence's pool mixing and
+    state generation, one array operation per step of its loops."""
+    seeds = np.asarray(seeds)
+    if seeds.dtype.kind not in "iuO":
+        raise TypeError(f"seeds must be integers, got dtype {seeds.dtype}")
+    # checked before the cast, which would wrap a negative seed silently
+    if seeds.size and (seeds.min() < 0 or seeds.max() > 2**64 - 1):
+        raise ValueError("seeds must lie in [0, 2**64)")
+    seeds = seeds.astype(np.uint64)
+    # a seed's entropy is its 32-bit words, low first, padded with zeros to
+    # the pool's four words: a seed below 2^32 has one word, and a padded
+    # zero hashes as a zero high word does
+    pool = np.zeros((4, len(seeds)), np.uint32)
+    pool[0] = seeds & _MASK32
+    pool[1] = seeds >> 32
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hash(words, steps) for words in pool]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], steps))
+    # generate_state(4, uint64): eight 32-bit words cycling over the pool,
+    # paired little-endian into uint64s
+    steps = _hash_steps(_INIT_B, _MULT_B)
+    state = np.empty((len(seeds), 8), np.uint32)
+    for k in range(8):
+        state[:, k] = _hash(pool[k % 4], steps)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _PresetSeed(ISeedSequence):
+    """A seed sequence whose state is already computed: a PCG64 built on it
+    reads the words, which it asks for as generate_state(4, np.uint64),
+    instead of hashing a seed."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _strategy_weights_block(m: int, seeds) -> np.ndarray:
+    """_strategy_weights(m, s) for each seed s of a 1-D block, shaped
+    (n, 2^(2m+1)), bit for bit.
+
+    Each box still has a PCG64 generator of its own, seeded with its seed's
+    SeedSequence state, but the states are hashed for the whole block at
+    once.  Each generator draws the 2^(2m+1) Gamma(0.2) variates that
+    dirichlet draws, and the rows are normalised as dirichlet's gamma path
+    (the one it takes when the largest alpha is >= 0.1) normalises them:
+    times 1.0 / their sum, added left to right (np.add.accumulate, not the
+    pairwise np.sum).
+    """
+    states = _seed_states(seeds)
+    gammas = np.empty((len(states), len(_strategy_cells(m))))
+    for state, row in zip(states, gammas):
+        np.random.Generator(np.random.PCG64(_PresetSeed(state))).standard_gamma(0.2, out=row)
+    return gammas * (1.0 / np.add.accumulate(gammas, axis=1)[:, -1])[:, None]
 
 
 def random_nonsignaling(m: int = 2, seed=None) -> TripartiteBox:

@@ -121,17 +121,18 @@ def sample_monogamy(rng, n):
 
     One size-n draw gives the boxes' seeds; it takes the same numbers, and
     leaves rng in the same state, as n scalar draws.  Each box is then drawn
-    from its own generator, as boxes.random_nonsignaling(2, seed) draws it,
-    so a box depends on its seed alone.  The boxes are judged as table
-    stacks, SAMPLE_BLOCK at a time, with make_box's checks, the strict-mode
-    monogamy LHS and the no-signaling spreads that judge a single box.
+    from its own generator, with the bits boxes.random_nonsignaling(2, seed)
+    draws, so a box depends on its seed alone; the generators' seed states
+    are hashed SAMPLE_BLOCK at a time (boxes._strategy_weights_block).  The
+    boxes are judged as table stacks, SAMPLE_BLOCK at a time, with
+    make_box's checks, the strict-mode monogamy LHS and the no-signaling
+    spreads that judge a single box.
     """
     seeds = rng.integers(0, 2**63, size=n)
     worst = 0.0
     worst_marginal = 0.0
     for start in range(0, n, SAMPLE_BLOCK):
-        weights = np.array([boxes._strategy_weights(2, seed)
-                            for seed in seeds[start:start + SAMPLE_BLOCK]])
+        weights = boxes._strategy_weights_block(2, seeds[start:start + SAMPLE_BLOCK])
         tables = boxes._mixture_tables(2, weights)
         boxes._check_tables(tables)
         worst = max(worst, float(monogamy._lhs_values(tables).max()))

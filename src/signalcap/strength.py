@@ -179,8 +179,7 @@ def c_delta(delta: float, tol: float = 1e-4, relaxed: bool = False) -> StrengthR
 
 def gava_bound(m: int, delta: float) -> float:
     """Symmetric-channel lower bound 1 - H((1 + delta/(4m-2))/2)."""
-    if m < 2:
-        raise ValueError("need m >= 2")
+    m = boxes._settings_count(m)
     if not 0.0 <= delta <= 2.0:
         raise ValueError(f"delta must lie in [0, 2], got {delta}")
     return 1.0 - channels.binary_entropy((1.0 + delta / (4.0 * m - 2.0)) / 2.0)

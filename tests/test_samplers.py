@@ -152,6 +152,67 @@ class TestMonogamySampler:
             cli.sample_monogamy(np.random.default_rng(0), 10)
 
 
+# the edges of SeedSequence's word split: zero, one word, two words, the
+# largest seed the sampler draws and the largest seed there is
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+HASH_CONSTANTS = ["_INIT_A", "_MULT_A", "_INIT_B", "_MULT_B", "_MIX_MULT_L", "_MIX_MULT_R",
+                  "_XSHIFT"]
+
+
+def seed_sequence_states(seeds):
+    return np.array([np.random.SeedSequence(int(s)).generate_state(4, np.uint64)
+                     for s in seeds])
+
+
+class TestBlockSeeding:
+    """The monogamy sampler hashes its boxes' SeedSequence states a block at
+    a time; these tests bind that path to numpy's SeedSequence and to
+    _strategy_weights, the single-box definition."""
+
+    def test_block_hash_equals_seed_sequence_at_the_edges(self):
+        for seeds in (np.array(EDGE_SEEDS, dtype=np.uint64), np.array(EDGE_SEEDS, dtype=object)):
+            got = boxes._seed_states(seeds)
+            assert got.dtype == np.uint64
+            assert got.tolist() == seed_sequence_states(EDGE_SEEDS).tolist()
+        for s in EDGE_SEEDS:
+            assert boxes._seed_states(np.array([s], dtype=np.uint64)).tolist() == \
+                seed_sequence_states([s]).tolist()
+
+    def test_block_hash_equals_seed_sequence_on_drawn_seeds(self):
+        seeds = np.random.default_rng(27).integers(0, 2**63, size=10_000)
+        assert boxes._seed_states(seeds).tobytes() == seed_sequence_states(seeds).tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_block_weights_equal_single_box_weights(self, m):
+        seeds = np.concatenate([np.array(EDGE_SEEDS[:-1]),
+                                np.random.default_rng(m).integers(0, 2**63, size=1_000)])
+        want = np.array([boxes._strategy_weights(m, s) for s in seeds])
+        assert boxes._strategy_weights_block(m, seeds).tobytes() == want.tobytes()
+
+    def test_empty_block(self):
+        assert boxes._seed_states(np.zeros(0, dtype=np.int64)).shape == (0, 4)
+        assert boxes._strategy_weights_block(2, np.zeros(0, dtype=np.int64)).shape == (0, 32)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_raises(self, seed):
+        # a negative int64 would wrap to a valid uint64 seed in the cast
+        for seeds in ([seed], [0, seed, 1]):
+            with pytest.raises(ValueError, match=r"^seeds must lie in \[0, 2\*\*64\)$"):
+                boxes._seed_states(seeds)
+            with pytest.raises(ValueError):
+                boxes._strategy_weights_block(2, seeds)
+
+    def test_float_seeds_raise(self):
+        with pytest.raises(TypeError):
+            boxes._seed_states(np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("name", HASH_CONSTANTS)
+    def test_an_altered_hash_constant_breaks_the_equality(self, monkeypatch, name):
+        seeds = np.random.default_rng(27).integers(0, 2**63, size=100)
+        monkeypatch.setattr(boxes, name, getattr(boxes, name) ^ 1)
+        assert (boxes._seed_states(seeds) != seed_sequence_states(seeds)).any(axis=1).all()
+
+
 class TestTripleSampler:
     @pytest.mark.parametrize("n", SIZES)
     def test_equals_the_reference_loop(self, monkeypatch, n):

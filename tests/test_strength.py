@@ -280,6 +280,17 @@ class TestGavaBound:
         with pytest.raises(ValueError):
             gava_bound(1, 1.0)
 
+    def test_settings_count_is_make_boxs_rule(self):
+        # an integer-valued m of any type reads the same bits as the int
+        for m in (3.0, np.int64(3)):
+            assert gava_bound(m, 1.0).hex() == gava_bound(3, 1.0).hex()
+        assert gava_bound(2, 1.0).hex() == "0x1.49d48df3e9540p-6"
+        assert gava_bound(3, 1.0).hex() == "0x1.d9888bd16f700p-8"
+        # a check of m < 2 alone let 2.5 return 0.0113, nan return nan and inf 0.0
+        for m in (2.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^need an integer number of settings m >= 2"):
+                gava_bound(m, 1.0)
+
 
 class TestOptimalFamily:
     def test_delta_zero(self):
