@@ -52,19 +52,32 @@ for demo in "$1"/demos/*.py; do
     name=$(basename "$demo" .py)
     COMMANDS+=("demo_$name|demos/$name.py")
 done
-# the grid oracle at full precision (demo 03 prints 6 decimals only), the
+# the grid oracle at full precision (demo 03 prints 6 decimals only), also
+# at steps 0.04 and 2/45, whose n moves the scan's block partition, the
 # global scan at odd n (its lattice centre is no grid point), the oracle at
 # step 0.01, and at step 0.05 on the step-0.01 lattice and at 50 seeded
 # deltas the global scan and the local refine around each of the oracle's
 # two seeds (the scan point and the optimal family's witness), from a script
-# in OUT so that both trees run the same file
+# in OUT so that both trees run the same file; the refine takes one centre
+# or a stack of them, told apart by its first parameter's name
 cat >"$OUT/oracle_bits.py" <<'EOF'
+import inspect
+
 import numpy as np
 
 from signalcap import geometry, strength
 
+if "centers" in inspect.signature(strength._grid_refine).parameters:
+    refine = strength._grid_refine
+else:
+    def refine(centers, rows, step):
+        return [strength._grid_refine(c, rows, step) for c in centers]
+
 for k in range(21):
     print(repr(strength.grid_oracle(k / 10)))
+for step in (0.04, 2 / 45):
+    for k in range(21):
+        print(step, k / 10, repr(strength.grid_oracle(k / 10, step)))
 for n in (5, 21, 45):
     for d in (0.3, 1.0, 2.0):
         value, point = strength._global_grid_scan(d, 2 / n)
@@ -74,9 +87,8 @@ for d in (0.4, 1.0, 1.7):
 for d in [round(k * 0.01, 10) for k in range(201)] + np.random.default_rng(25).uniform(0, 2, 50).tolist():
     value, point = strength._global_grid_scan(d, 0.05)
     print(repr(d), repr(value), repr(point.tolist()))
-    rows = geometry.q_delta_float(2, d)
-    for seed in (point, strength.optimal_family(d).witness.as_array()):
-        value, best = strength._grid_refine(seed, rows, 0.05)
+    seeds = [point, strength.optimal_family(d).witness.as_array()]
+    for value, best in refine(seeds, geometry.q_delta_float(2, d), 0.05):
         print(repr(d), repr(value), repr(None if best is None else best.tolist()))
 EOF
 COMMANDS+=("oracle_bits|$OUT/oracle_bits.py")

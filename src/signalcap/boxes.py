@@ -67,6 +67,14 @@ def _settings_count(m) -> int:
     return k
 
 
+def _layout_settings(m) -> int:
+    """m as an int, checked as correlator_layout checks it: m < 2 with its
+    own message first, then make_box's rule."""
+    if m < 2:
+        raise ValueError(f"need m >= 2, got {m}")
+    return _settings_count(m)
+
+
 def make_box(m, table) -> TripartiteBox:
     """Validate a probability table of shape (m, m, 2, 2, 2) and wrap it."""
     m = _settings_count(m)
@@ -277,8 +285,7 @@ def correlator_layout(m: int, relaxed: bool = False) -> tuple:
     y_B^0 = <A_0 E>_{B_{m-1}}.  In relaxed mode the pair
     (x_A^0, y_A^0) = (<B_0 E>_{A_0}, <B_0 E>_{A_1}) is carried as well.
     """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+    m = _layout_settings(m)
     if relaxed and m != 2:
         raise ValueError("relaxed mode is defined for m = 2 only")
     layout = []

@@ -86,18 +86,33 @@ def capacity(ch: BinaryChannel) -> float:
 
 
 def capacity_array(p, q):
-    """Vectorized capacity for numpy arrays of transition probabilities."""
+    """Vectorized capacity for numpy arrays of transition probabilities;
+    p and q broadcast, and the result has their broadcast shape.
+
+    Both entropies come from one pass over p's and q's entries laid end to
+    end, H(u) = -u log2 u - (1 - u) log2(1 - u) with 0 log 0 = 0: every
+    numpy call here works element by element, and numpy's array log2 and
+    exp2 round an element the same wherever it sits in an array, so an
+    entry of H gets the bits it gets in a pass over p or q alone, and a
+    capacity does not depend on the array it comes in.  q - p and its
+    EPS_CAP mask are formed once.  The clip to [0, 1] is np.maximum then
+    np.minimum, which differ from np.clip on -0.0 alone, and no value is
+    -0.0: the masked ones are +0.0, and a sum x + log2(1 + 2^s) is -0.0
+    only if log2(...) is, which it never is.  tests/test_channels.py holds
+    the function to its two-pass, np.clip form byte for byte."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
+    u = np.concatenate([p.ravel(), q.ravel()])
+    v = 1.0 - u
     with np.errstate(divide="ignore", invalid="ignore"):
-        hp = -p * np.log2(np.where(p > 0, p, 1.0)) \
-             - (1 - p) * np.log2(np.where(p < 1, 1 - p, 1.0))
-        hq = -q * np.log2(np.where(q > 0, q, 1.0)) \
-             - (1 - q) * np.log2(np.where(q < 1, 1 - q, 1.0))
-        d = np.where(np.abs(q - p) < EPS_CAP, 1.0, q - p)
+        h = -u * np.log2(np.where(u > 0, u, 1.0)) - v * np.log2(np.where(u < 1, v, 1.0))
+        hp, hq = h[:p.size].reshape(p.shape), h[p.size:].reshape(q.shape)
+        d = q - p
+        useless = np.abs(d) < EPS_CAP
+        d = np.where(useless, 1.0, d)
         val = (p * hq - q * hp) / d + np.log2(1.0 + np.exp2((hp - hq) / d))
-    val = np.where(np.abs(q - p) < EPS_CAP, 0.0, val)
-    return np.clip(val, 0.0, 1.0)
+    val = np.where(useless, 0.0, val)
+    return np.minimum(np.maximum(val, 0.0), 1.0)
 
 
 def capacity_gradient(ch: BinaryChannel):
@@ -187,6 +202,7 @@ def correlator_to_probability(x: float) -> float:
 def family_index_pairs(m: int, relaxed: bool = False):
     """Channel labels with the component indices (into the canonical
     correlator-vector order) of their (x, y) correlator pair."""
+    m = boxes._layout_settings(m)
     index = {name: k for k, (name, _, _, _) in
              enumerate(boxes.correlator_layout(m, relaxed))}
     arms = [("B", "AE", i) for i in range(m)] + [("A", "BE", i) for i in range(1, m)]

@@ -260,8 +260,7 @@ def polytope_float(poly: HPolytope):
 def _q_delta_matrix(m: int) -> np.ndarray:
     """-all_summed_constraints(m), read-only: no entry of it depends on
     delta.  0.0 - v keeps the zero entries +0.0, as build_q_delta's are."""
-    boxes.correlator_layout(m)    # its m >= 2 error comes first
-    A = 0.0 - monogamy.all_summed_constraints(m)
+    A = 0.0 - monogamy.all_summed_constraints(boxes._layout_settings(m))
     A.flags.writeable = False
     return A
 

@@ -149,6 +149,7 @@ def chained_polytope_bound(m: int, delta: float, tol: float = 1e-4) -> StrengthR
     set, so this is the exact strength; for m >= 3 exactness rests on an
     unproved conjecture and the value is labeled a conjectured lower bound.
     """
+    m = boxes._layout_settings(m)
     if m > 4:
         raise ValueError("constraint count 4^(m-1) kept tractable: m <= 4")
     rows = geometry.q_delta_float(m, delta)
@@ -261,19 +262,28 @@ def c2_analytic() -> C2Report:
 # independent grid oracle (m = 2)
 
 # Elements (pair0 rows times pair1 columns) that the global scan evaluates
-# per block of pair0 rows: enough rows to spread the per-row Python work over,
-# few enough that a block's temporaries stay small.
-_SCAN_BLOCK_ELEMS = 1 << 14
+# per block of pair0 rows: enough rows to spread the per-block Python work
+# over, few enough that a block's temporaries stay small.  A temporary is
+# 8 bytes an element, 64 KiB here.  At 1 << 14 it was 128 KiB, glibc
+# malloc's default mmap threshold, so each one was mapped and faulted in
+# afresh: 40 scans alone took about 7 700 minor page faults against about
+# 1 here, and 240 oracles mixed with boxes and capacity-oracle ops 50 000
+# to 75 000 against about 700.  With the faults gone (a large free lifts
+# the threshold), a scan at step 0.05 averaged over delta = 0.05, ..., 2
+# still took 1.78-1.91 ms here against 1.86-2.01 ms at 1 << 14 and
+# 2.05-2.16 ms at 1 << 12 (medians of 15 alternating rounds in each of
+# three processes; 2 cores, Python 3.11.7, numpy 2.4.6).
+_SCAN_BLOCK_ELEMS = 1 << 13
 
 # The local refine halves its step while the step exceeds this.
 REFINE_TO = 5e-5
 
 
-def _grid_refine(center, rows, step):
-    """Shrinking local scans around a feasible incumbent; returns best value
-    and point.
+def _grid_refine(centers, rows, step):
+    """Shrinking local scans around each of a stack of feasible incumbents;
+    returns a list with each centre's best value and point, in stack order.
 
-    Each level scans the 5^6 tensor grid whose axis k is
+    Each level scans, for each centre c, the 5^6 tensor grid whose axis k is
     c[k] + {-1, -1/2, 0, 1/2, 1} * cur clipped to [-1, 1], with cur halving
     from step while it exceeds REFINE_TO.  A grid point's value is
     f = max(C_A, C_B^0, C_B^1), where each channel reads two adjacent axes:
@@ -282,7 +292,7 @@ def _grid_refine(center, rows, step):
     delta), its left-hand side added up over the axes in the order k = 0..5,
     exceeds its bound by more than 1e-12; the [-1, 1] box holds exactly on
     the clipped axes.  Ties go to the first point in row-major order (that of
-    meshgrid(indexing="ij")), and the centre moves only on a strict
+    meshgrid(indexing="ij")), and a centre moves only on a strict
     improvement.
 
     A level tests only the points that can beat its centre.  When the centre
@@ -293,10 +303,26 @@ def _grid_refine(center, rows, step):
     channels' sets is the grid's row-major order, so it keeps the first
     minimum, and each row's left-hand side is added up channel by channel,
     x term then y term, which is the order k = 0..5.  Every value, verdict
-    and point is therefore the full level's.  The sublevel set holds about
-    2 900 of the 15 625 points on average, and a refine at step 0.05 takes
-    about 10 levels and 1.4 ms where testing every point took 2.4 ms
-    (2 cores, Python 3.11.7, numpy 2.4.6).
+    and point is therefore the full level's.
+
+    The centres go through a level in lockstep: the clipped axes, one
+    capacity_array call on every centre's channel tables, the row terms,
+    the centres' left-hand sides and each centre's theta and sublevel masks
+    are computed for the whole stack, and each centre then takes its own
+    sets, product, verdict and next centre from its own slice.  Every one
+    of those stacked operations works element by element or along one
+    centre's own slice (its left-hand side is a sequential np.add.accumulate
+    along its own row, its theta a max over its own row), and
+    capacity_array's entries do not depend on the array they come in, so a
+    centre's result is the one it gets alone in a stack of one, whatever
+    else is stacked with it.
+
+    The sublevel set holds about 2 900 of the 15 625 points on average.  At
+    step 0.05 (10 levels), averaged over delta = 0.05, 0.1, ..., 2, the grid
+    oracle's two centres took 2.2-2.3 ms as one stack of two, against
+    2.7 ms as two stacks of one and 3.0-3.1 ms for two one-centre refines
+    with the two-pass capacity_array; the whole oracle took 4.5-4.6 ms
+    against 5.5 ms (2 cores, Python 3.11.7, numpy 2.4.6).
     """
     A, b = rows
     # (x, y) axes of each channel, in axis order
@@ -304,38 +330,46 @@ def _grid_refine(center, rows, step):
     ix = [i for i, _ in axes_of]
     iy = [j for _, j in axes_of]
     on_x, on_y = divmod(np.arange(25), 5)          # a table entry's index on x and y
-    best_val, best_pt = np.inf, None
-    c = np.asarray(center, dtype=float)
+    c = np.array(centers, dtype=float)             # c[s]: centre s
+    best = [(np.inf, None)] * len(c)
     cur = step
     offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     while cur > REFINE_TO:
-        axes = np.clip(c[:, None] + offsets * cur, -1.0, 1.0)      # axes[k]: axis k
+        axes = np.clip(c[:, :, None] + offsets * cur, -1.0, 1.0)   # axes[s, k]: axis k of centre s
         p = (1.0 + axes) / 2.0
-        caps = channels.capacity_array(p[ix, :, None], p[iy, None, :]).reshape(-1, 25)
-        terms = A[:, :, None] * axes                 # terms[r, k]: row r's term on axis k
+        caps = channels.capacity_array(p[:, ix, :, None], p[:, iy, None, :]).reshape(len(c), -1, 25)
+        terms = A[:, :, None] * axes[:, None]        # terms[s, r, k]: row r's term on axis k
         # the centre is entry 12 of every table; accumulate adds left to right
-        centre_lhs = np.add.accumulate(terms[:, :, 2], axis=1)[:, -1]
-        theta = np.inf if (centre_lhs - b).max() > 1e-12 else caps[:, 12].max()
-        sets = [np.flatnonzero(below) for below in caps <= theta]
-        # rows x the product of the sets, flat in row-major order; -0.0 + x is x
-        lhs, f = np.full((len(A), 1), -0.0), np.full(1, -np.inf)
-        for (i, j), cap, s in zip(axes_of, caps, sets):
-            f = np.maximum(f[:, None], cap[s]).ravel()
-            lhs = np.repeat(lhs, s.size, axis=1)
-            grid = lhs.reshape(len(A), -1, s.size)     # a view: += adds in place
-            grid += terms[:, i, on_x[s]][:, None, :]
-            grid += terms[:, j, on_y[s]][:, None, :]
-        lhs -= b[:, None]
-        f[functools.reduce(np.maximum, lhs) > 1e-12] = np.inf
-        k = int(f.argmin())
-        if f[k] < best_val:
-            best_val = float(f[k])
-            idx = np.empty(6, dtype=int)
-            for (i, j), s, n in zip(axes_of, sets, np.unravel_index(k, [s.size for s in sets])):
-                idx[i], idx[j] = on_x[s[n]], on_y[s[n]]
-            best_pt = c = axes[np.arange(6), idx]
+        centre_lhs = np.add.accumulate(terms[:, :, :, 2], axis=2)[:, :, -1]
+        theta = np.where((centre_lhs - b).max(axis=1) > 1e-12, np.inf, caps[:, :, 12].max(axis=1))
+        below = caps <= theta[:, None, None]
+        for s in range(len(c)):
+            sets = [row.nonzero()[0] for row in below[s]]
+            ts = terms[s]
+            # rows x the product of the sets, flat in row-major order; it
+            # starts at the first channel's x term plus its y term, which is
+            # what adding them to -0.0, the additive identity, gives
+            (i, j), kept = axes_of[0], sets[0]
+            f = caps[s, 0, kept]
+            lhs = ts[:, i, on_x[kept]] + ts[:, j, on_y[kept]]
+            for (i, j), cap, kept in zip(axes_of[1:], caps[s, 1:], sets[1:]):
+                f = np.maximum(f[:, None], cap[kept]).ravel()
+                lhs = lhs.repeat(kept.size, axis=1)
+                grid = lhs.reshape(len(A), -1, kept.size)     # a view: += adds in place
+                grid += ts[:, i, on_x[kept]][:, None, :]
+                grid += ts[:, j, on_y[kept]][:, None, :]
+            lhs -= b[:, None]
+            f[functools.reduce(np.maximum, lhs) > 1e-12] = np.inf
+            k = int(f.argmin())
+            if f[k] < best[s][0]:
+                idx = np.empty(6, dtype=int)
+                for (i, j), kept, n in zip(axes_of, sets,
+                                           np.unravel_index(k, [kept.size for kept in sets])):
+                    idx[i], idx[j] = on_x[kept[n]], on_y[kept[n]]
+                best[s] = (float(f[k]), axes[s, np.arange(6), idx])
+                c[s] = best[s][1]
         cur *= 0.5
-    return best_val, best_pt
+    return best
 
 
 def _box_min(ca, lu, hu, lv, hv):
@@ -469,9 +503,10 @@ def grid_oracle(delta: float, step: float = 0.05) -> float:
 
     Scans the full six-dimensional correlator grid at the given step,
     restricted to polytope members, then refines locally around the grid
-    incumbent and around the optimal family's witness with shrinking steps
-    down to REFINE_TO.  Only feasible points can win, so the result
-    upper-bounds the true minimum and converges to it as step -> 0.
+    incumbent and around the optimal family's witness, one stack of two
+    centres, with shrinking steps down to REFINE_TO.  Only feasible points
+    can win, so the result upper-bounds the true minimum and converges to
+    it as step -> 0.
     The family's witness makes the result depend on the family: at every
     nonzero delta of the 0.1 grid (step 0.05) its refine ends lowest.
 
@@ -492,12 +527,8 @@ def grid_oracle(delta: float, step: float = 0.05) -> float:
     if point is not None:
         seeds.append(point)
     seeds.append(optimal_family(delta).witness.as_array())
-    rows = geometry.q_delta_float(2, delta)
-    best = incumbent
-    for seed in seeds:
-        val, _ = _grid_refine(seed, rows, step)
-        best = min(best, val)
-    return float(best)
+    refined = _grid_refine(seeds, geometry.q_delta_float(2, delta), step)
+    return float(min([incumbent] + [val for val, _ in refined]))
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +586,7 @@ def curve(m: int, deltas, tol: float = 1e-4) -> StrengthCurve:
     deltas = [float(d) for d in deltas]
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("delta grid must be ascending")
+    m = boxes._layout_settings(m)
     rows = []
     for d in deltas:
         g2, g3 = gava_bound(2, d), gava_bound(3, d)

@@ -77,6 +77,79 @@ class TestCapacity:
             assert vec[k] == pytest.approx(channels._capacity_pq(p[k], q[k]), abs=1e-12)
 
 
+def two_pass_capacity_array(p, q):
+    """capacity_array as it was before it took both entropies in one pass:
+    each entropy from its own array, q - p and its mask formed twice, the
+    result clipped by np.clip."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hp = -p * np.log2(np.where(p > 0, p, 1.0)) \
+             - (1 - p) * np.log2(np.where(p < 1, 1 - p, 1.0))
+        hq = -q * np.log2(np.where(q > 0, q, 1.0)) \
+             - (1 - q) * np.log2(np.where(q < 1, 1 - q, 1.0))
+        d = np.where(np.abs(q - p) < channels.EPS_CAP, 1.0, q - p)
+        val = (p * hq - q * hp) / d + np.log2(1.0 + np.exp2((hp - hq) / d))
+    val = np.where(np.abs(q - p) < channels.EPS_CAP, 0.0, val)
+    return np.clip(val, 0.0, 1.0)
+
+
+def assert_same_bytes(p, q):
+    new, old = channels.capacity_array(p, q), two_pass_capacity_array(p, q)
+    assert type(new) is type(old)
+    assert np.shape(new) == np.shape(old)
+    assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
+
+
+class TestCapacityArrayOnePass:
+    # the probabilities the edge cases sit at: the ends, the middle, a
+    # subnormal and the smallest normal, and values an ulp inside [0, 1]
+    EDGES = [0.0, -0.0, 1.0, 0.5, 0.3, 5e-324, 2.2250738585072014e-308, 1e-300,
+             np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0) * 7]
+
+    def test_ends_and_subnormals(self):
+        u = np.array(self.EDGES)
+        assert_same_bytes(u[:, None], u[None, :])
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0 - 1e-9, 1.0])
+    def test_gaps_around_eps_cap(self, p):
+        eps = channels.EPS_CAP
+        gaps = np.array([0.0, 0.5 * eps, np.nextafter(eps, 0.0), eps, np.nextafter(eps, 1.0),
+                         2 * eps, 1e-9])
+        q = np.clip(np.concatenate([p + gaps, p - gaps]), 0.0, 1.0)
+        assert_same_bytes(np.full(q.shape, p), q)
+        assert_same_bytes(q, p)
+
+    def test_zero_d_arrays_and_python_scalars(self):
+        for p, q in [(0.3, 0.7), (0.0, 1.0), (0.5, 0.5), (1.0, 1.0 - 1e-13), (5e-324, 1.0)]:
+            assert_same_bytes(p, q)
+            assert_same_bytes(np.array(p), np.array(q))
+            assert_same_bytes(np.array(p), q)
+
+    @pytest.mark.parametrize("shape_p, shape_q", [((3, 5, 1), (3, 1, 5)),
+                                                  ((2, 3, 5, 1), (2, 3, 1, 5)),
+                                                  ((41, 1), (1, 41))])
+    def test_broadcast_shapes(self, shape_p, shape_q):
+        # the refine's channel tables, a stack of two of them, the scan's
+        # lattice at step 0.05; uniform draws, then a quarter of the entries
+        # snapped to 0 or 1
+        rng = np.random.default_rng(28)
+        for _ in range(20):
+            p, q = rng.uniform(0, 1, shape_p), rng.uniform(0, 1, shape_q)
+            for u in (p, q):
+                snap = rng.uniform(0, 1, u.shape) < 0.25
+                u[snap] = np.round(u[snap])
+            assert_same_bytes(p, q)
+
+    def test_entries_do_not_depend_on_the_stack(self):
+        # a stack's tables read the bits each table reads alone
+        rng = np.random.default_rng(29)
+        p, q = rng.uniform(0, 1, (4, 3, 5, 1)), rng.uniform(0, 1, (4, 3, 1, 5))
+        stacked = channels.capacity_array(p, q)
+        for s in range(4):
+            assert stacked[s].tobytes() == channels.capacity_array(p[s], q[s]).tobytes()
+
+
 class TestCapacityOracle:
     def test_noiseless(self):
         assert channels.capacity_oracle(BinaryChannel(1.0, 0.0)) == pytest.approx(1.0, abs=1e-6)

@@ -186,9 +186,10 @@ SCAN_BITS = {
 }
 
 
-# _grid_refine(centre, q_delta_float(2, delta), step) keyed by (delta, step,
-# the centre's .hex()), as (value.hex(), [x.hex() for x in point]), recorded
-# before each level tested only the points that can beat its centre
+# the one-centre refine, _grid_refine([centre], q_delta_float(2, delta),
+# step)[0], keyed by (delta, step, the centre's .hex()), as (value.hex(),
+# [x.hex() for x in point]), recorded before each level tested only the
+# points that can beat its centre
 REFINE_BITS = {
     # scan points; at delta 2 two coordinates lie at +1
     (0.3, 0.05, ("0x1.99999999999a0p-5", "-0x1.9999999999990p-5", "0x1.3333333333338p-3",
@@ -485,6 +486,18 @@ class TestGridOracle:
         assert value == blocked[0]
         assert np.array_equal(point, blocked[1])
 
+    @pytest.mark.parametrize("block", [1 << 6, 1 << 13, 1 << 16])
+    def test_bits_do_not_depend_on_the_scan_block(self, block, monkeypatch):
+        # the stale-incumbent argument of the scan's docstring holds for any
+        # block size: 64 elements is one pair0 row or less, 1 << 16 takes
+        # every row of these scans in a block or two
+        monkeypatch.setattr(strength, "_SCAN_BLOCK_ELEMS", block)
+        for (delta, step), bits in SCAN_BITS.items():
+            value, point = strength._global_grid_scan(delta, step)
+            assert (value.hex(), [x.hex() for x in point]) == bits
+        for delta, bits in ORACLE_BITS.items():
+            assert grid_oracle(delta, step=0.05).hex() == bits
+
     @pytest.mark.parametrize("n", [4, 5, 8, 20, 21, 40, 45, 100])
     def test_lattice_facts_behind_the_box_minimum(self, n):
         # the scan reads a box minimum off the cells nearest the centre of the
@@ -528,7 +541,7 @@ class TestGridOracle:
                    np.clip(rng.uniform(-1.3, 1.3, 6), -1.0, 1.0)]   # some coordinates at +-1
         rows = geometry.q_delta_float(2, delta)
         for center in centers:
-            value, point = strength._grid_refine(center, rows, step)
+            [(value, point)] = strength._grid_refine([center], rows, step)
             ref_value, ref_point = reference_grid_refine(center, delta, step, 5e-5)
             assert value == ref_value
             assert np.array_equal(point, ref_point)
@@ -536,15 +549,15 @@ class TestGridOracle:
     @pytest.mark.parametrize("delta, center", BOUNDARY_CENTRES)
     def test_refine_on_the_feasibility_threshold(self, delta, center):
         center = np.array([float.fromhex(v) for v in center])
-        value, point = strength._grid_refine(center, geometry.q_delta_float(2, delta), 0.05)
+        [(value, point)] = strength._grid_refine([center], geometry.q_delta_float(2, delta), 0.05)
         ref_value, ref_point = reference_grid_refine(center, delta, 0.05, 5e-5)
         assert value == ref_value
         assert np.array_equal(point, ref_point)
 
     @pytest.mark.parametrize("delta, step, center", list(REFINE_BITS))
     def test_refine_pinned_bits(self, delta, step, center):
-        value, point = strength._grid_refine(np.array([float.fromhex(v) for v in center]),
-                                             geometry.q_delta_float(2, delta), step)
+        [(value, point)] = strength._grid_refine([[float.fromhex(v) for v in center]],
+                                                 geometry.q_delta_float(2, delta), step)
         assert (value.hex(), [x.hex() for x in point]) == REFINE_BITS[delta, step, center]
 
     @pytest.mark.parametrize("delta, step, center", [
@@ -555,8 +568,51 @@ class TestGridOracle:
     def test_refine_without_a_feasible_point(self, delta, step, center):
         # every level's grid misses Q_delta: x_B^0 + x_B^1 >= delta is out of reach
         rows = geometry.q_delta_float(2, delta)
-        assert strength._grid_refine(center, rows, step) == (np.inf, None)
+        assert strength._grid_refine([center], rows, step) == [(np.inf, None)]
         assert reference_grid_refine(center, delta, step, 5e-5) == (np.inf, None)
+
+    @pytest.mark.parametrize("delta, step, centres", [
+        # a centre that passes the float test (theta finite) stacked with the
+        # family witness of 1.96, which fails it at delta 2 (theta = inf)
+        (2.0, 0.05, lambda: [strength._global_grid_scan(2.0, 0.05)[1],
+                             optimal_family(1.96).witness.as_array()]),
+        # a centre with no feasible point at any level next to one with one
+        (2.0, 0.05, lambda: [np.zeros(6), strength._global_grid_scan(2.0, 0.05)[1]]),
+        (2.0, 0.05, lambda: [strength._global_grid_scan(2.0, 0.05)[1], np.zeros(6)]),
+        # two equal centres
+        (1.0, 0.05, lambda: [optimal_family(1.0).witness.as_array()] * 2),
+        # stacks of one and of three
+        (0.05, 0.05, lambda: [optimal_family(0.05).witness.as_array()]),
+        (1.9, 2 / 45, lambda: [strength._global_grid_scan(1.9, 2 / 45)[1],
+                               optimal_family(1.9).witness.as_array(),
+                               np.array([0.35, -0.86, 0.14, -0.84, 0.02, -0.41])]),
+    ], ids=["passes-fails", "none-feasible", "feasible-none", "equal", "one", "three"])
+    def test_stacked_refine_equals_each_centre_alone(self, delta, step, centres):
+        centres = centres()
+        given = [c.copy() for c in centres]
+        rows = geometry.q_delta_float(2, delta)
+        stacked = strength._grid_refine(centres, rows, step)
+        assert len(stacked) == len(centres)
+        for (value, point), centre, before in zip(stacked, centres, given):
+            assert np.array_equal(centre, before)          # the caller's centres stay
+            [(alone, alone_point)] = strength._grid_refine([centre], rows, step)
+            assert value.hex() == alone.hex()
+            if alone_point is None:
+                assert point is None
+            else:
+                assert point.tobytes() == alone_point.tobytes()
+
+    def test_stack_mixes_both_kinds_of_centre(self):
+        # the first case above does stack a centre that passes the float test
+        # with one that fails it, and the second one with no feasible point
+        A, b = geometry.q_delta_float(2, 2.0)
+        passes = strength._global_grid_scan(2.0, 0.05)[1]
+        fails = optimal_family(1.96).witness.as_array()
+        assert (A @ passes - b).max() <= 1e-12
+        assert (A @ fails - b).max() > 1e-3
+        none, some = strength._grid_refine([np.zeros(6), passes], (A, b), 0.05)
+        assert none == (np.inf, None)
+        assert np.isfinite(some[0])
 
     def test_pinned_bits(self):
         for delta, bits in ORACLE_BITS.items():
@@ -636,6 +692,46 @@ class TestChainedBound:
     def test_m_cap(self):
         with pytest.raises(ValueError):
             chained_polytope_bound(5, 1.0)
+
+
+class TestSettingsCount:
+    # correlator_layout and its callers read m by make_box's rule after their
+    # own m < 2 check; a non-integer m once raised range()'s TypeError
+
+    CALLS = {
+        "correlator_layout": boxes.correlator_layout,
+        "family_index_pairs": channels.family_index_pairs,
+        "q_delta_float": lambda m: geometry.q_delta_float(m, 1.0),
+        "chained_polytope_bound": lambda m: chained_polytope_bound(m, 1.0),
+        "curve": lambda m: curve(m, [1.0]),
+    }
+
+    @pytest.mark.parametrize("m", [3.0, np.int64(3)])
+    def test_integer_valued_m_reads_the_int_bits(self, m):
+        assert boxes.correlator_layout(m) == boxes.correlator_layout(3)
+        assert channels.family_index_pairs(m) == channels.family_index_pairs(3)
+        for got, want in zip(geometry.q_delta_float(m, 0.5), geometry.q_delta_float(3, 0.5)):
+            assert got.tobytes() == want.tobytes()
+        res, ref = chained_polytope_bound(m, 0.5), chained_polytope_bound(3, 0.5)
+        assert res.value.hex() == ref.value.hex()
+        assert res.witness.values.tobytes() == ref.witness.values.tobytes()
+        assert type(res.witness.m) is int and res.witness.m == 3
+        got, want = curve(m, [0.5]), curve(3, [0.5])
+        assert type(got.m) is int and got.m == 3
+        assert got.to_csv() == want.to_csv()
+        assert [x.hex() for x in got.rows[0].witness] == [x.hex() for x in want.rows[0].witness]
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    @pytest.mark.parametrize("m", [2.5, np.nan, np.inf])
+    def test_non_integer_m_gets_make_boxs_message(self, name, m):
+        with pytest.raises(ValueError, match="^need an integer number of settings m >= 2, got "):
+            self.CALLS[name](m)
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    @pytest.mark.parametrize("m", [0, 1, 1.5, -np.inf])
+    def test_m_below_2_keeps_its_message(self, name, m):
+        with pytest.raises(ValueError, match=f"^need m >= 2, got {m}$"):
+            self.CALLS[name](m)
 
 
 class TestCurve:
