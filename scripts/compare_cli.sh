@@ -163,6 +163,44 @@ for p, q in pairs:
           show(lambda: channels.capacity_gradient(channels.BinaryChannel(p, q))))
 EOF
 COMMANDS+=("capacity_bits|$OUT/capacity_bits.py")
+# the one-channel bisection oracle at full precision: the value of 5 000
+# seeded pairs, of every pair of edges (0, 1, 1e-300, 5e-324, 1 - 1e-16), of
+# p = q and of 20 gaps per decade from 1e-12 to 1 in both orders, each value
+# or error; then, at budgets of 0, 1, 2 and 10 steps and tol 1e-12, the
+# outcome (value, or NoConvergence iters and best) of the first 500 seeded
+# pairs and the edge pairs
+cat >"$OUT/oracle1_bits.py" <<'EOF'
+import numpy as np
+
+from signalcap import channels
+
+rng = np.random.default_rng(29)
+pairs = rng.uniform(0.0, 1.0, (5000, 2)).tolist()
+edges = [0.0, 1.0, 1e-300, 5e-324, 1.0 - 1e-16]
+pairs += [(p, q) for p in edges for q in edges]
+pairs += [(p, p) for p in edges + rng.uniform(0.0, 1.0, 20).tolist()]
+gaps = 10.0 ** (np.repeat(np.arange(-12, 0), 20) + rng.uniform(0, 1, 240))
+low = rng.uniform(0, 1, 240) * (1.0 - gaps)
+pairs += list(zip(low.tolist(), (low + gaps).tolist())) + list(zip((low + gaps).tolist(), low.tolist()))
+
+
+def show(p, q, *budget):
+    try:
+        return repr(channels.capacity_oracle(channels.BinaryChannel(p, q), *budget))
+    except channels.NoConvergence as err:
+        return (f"NoConvergence {err.iters} {type(err.best).__name__} {err.best.shape} "
+                f"{float(err.best).hex()} {err}")
+    except Exception as err:
+        return f"{type(err).__name__} {err}"
+
+
+for p, q in pairs:
+    print(repr(p), repr(q), show(p, q))
+for iters in (0, 1, 2, 10):
+    for p, q in pairs[:500] + pairs[5000:5025]:
+        print(iters, repr(p), repr(q), show(p, q, iters, 1e-12))
+EOF
+COMMANDS+=("oracle1_bits|$OUT/oracle1_bits.py")
 # the optimal family at full precision on the step-0.01 lattice
 cat >"$OUT/family_bits.py" <<'EOF'
 from signalcap import strength

@@ -56,13 +56,23 @@ class TripartiteBox:
     table: np.ndarray
 
 
-def _settings_count(m) -> int:
-    """m as an int, or make_box's error if it is no integer >= 2."""
+def _integer_settings(m) -> int:
+    """m as an int, or make_box's error if it is no integer, so that 3.0 and
+    np.int64(3) read as 3 and a caller's own checks of an integer m run as
+    they do on the int."""
     try:
         k = int(m)
     except (ValueError, OverflowError):   # nan, inf
         k = None
-    if k is None or m != k or m < 2:
+    if k is None or m != k:
+        raise ValueError(f"need an integer number of settings m >= 2, got {m!r}")
+    return k
+
+
+def _settings_count(m) -> int:
+    """m as an int, or make_box's error if it is no integer >= 2."""
+    k = _integer_settings(m)
+    if k < 2:
         raise ValueError(f"need an integer number of settings m >= 2, got {m!r}")
     return k
 
@@ -180,6 +190,7 @@ def chained_bell_terms(m: int) -> tuple:
     the last term is stored on the actual pair as ((0, m - 1), -1).  The Bell
     value, the PR box, the monogamy members and the box LP read it here.
     """
+    m = _integer_settings(m)
     terms = []
     for k in range(m):
         terms += [((k, k), 1), ((k + 1, k), 1) if k + 1 < m else ((0, k), -1)]
@@ -313,6 +324,7 @@ class CorrelatorVector:
     relaxed: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _layout_settings(self.m))
         values = np.array(self.values, dtype=float)
         want = len(correlator_layout(self.m, self.relaxed))
         if values.shape != (want,):
@@ -381,6 +393,7 @@ def _pr_correlators(m: int) -> np.ndarray:
 def pr_times_coin(m: int = 2) -> TripartiteBox:
     """Box whose AB marginal maximizes the chained Bell expression (value 2m)
     while E is an uncorrelated fair coin."""
+    m = _integer_settings(m)
     zero = np.zeros((m, m))
     return from_correlators(m, _pr_correlators(m), zero, zero)
 

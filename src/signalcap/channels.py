@@ -185,9 +185,52 @@ def capacity_oracle_array(p, q, iters: int = 200, tol: float = 1e-8):
 
 
 def capacity_oracle(ch: BinaryChannel, iters: int = 200, tol: float = 1e-8) -> float:
-    """Capacity of one channel by ``capacity_oracle_array``, within tol of
-    the true capacity; iters counts bisection steps."""
-    return float(capacity_oracle_array(ch.p, ch.q, iters, tol))
+    """Capacity of one channel by the bisection of ``capacity_oracle_array``,
+    within tol of the true capacity; iters counts bisection steps.
+
+    It has its own body on Python floats, because on one channel the array
+    loop's numpy calls on one-entry arrays cost more than its arithmetic.
+    The body does every floating-point operation of that loop in the same
+    order, so a channel gets the same bits from either, and NoConvergence's
+    ``best`` is the 0-d array the array path gives.  The four logarithms of
+    a step come from one call of numpy's array ``log2``, which rounds an
+    entry the same in any array; ``math.log2`` rounds some arguments
+    differently, so it would move bits.  numpy's maximum and minimum return
+    their second operand on a tie, and so do the comparisons here (0.0
+    against -0.0).
+    """
+    p, q = float(ch.p), float(ch.q)
+    for name, v in (("p", p), ("q", q)):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"transition probability {name}={v} outside [0, 1]")
+    p0, q0 = 1.0 - p, 1.0 - q
+    pi = 0.5
+    lower, upper = 0.0, np.inf
+    step = 0.5
+    # 0 log 0 = 0: a zero x's log2(x / o) is -inf (inf if o is 0 too), and
+    # its term is dropped
+    with np.errstate(divide="ignore"):
+        for _ in range(iters):
+            o1 = (1.0 - pi) * p + pi * q
+            o0 = (1.0 - pi) * p0 + pi * q0
+            try:
+                ratios = [p / o1, q / o1, p0 / o0, q0 / o0]
+            except ZeroDivisionError:   # numpy's x / 0 is inf for x > 0
+                ratios = [x / o if o else np.inf
+                          for x, o in ((p, o1), (q, o1), (p0, o0), (q0, o0))]
+            lp, lq, lp0, lq0 = np.log2(ratios).tolist()
+            d0 = (p * lp if p > 0.0 else 0.0) + (p0 * lp0 if p0 > 0.0 else 0.0)
+            d1 = (q * lq if q > 0.0 else 0.0) + (q0 * lq0 if q0 > 0.0 else 0.0)
+            mix = (1.0 - pi) * d0 + pi * d1
+            lower = lower if lower > mix else mix
+            top = d0 if d0 > d1 else d1
+            upper = upper if upper < top else top
+            if upper - lower < tol:
+                mid = 0.5 * (lower + upper)
+                return mid if mid > 0.0 else 0.0
+            step *= 0.5
+            pi += step if d1 > d0 else -step
+    raise NoConvergence(iters, best=np.array(lower))
 
 
 # ---------------------------------------------------------------------------

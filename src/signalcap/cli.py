@@ -167,13 +167,12 @@ def sample_capacity_oracle(rng, n):
     oracle = channels.capacity_oracle_array(pairs[:, 0], pairs[:, 1])
     worst_gap = 0.0
     worst_sym = 0.0
-    for (p, q), c_oracle in zip(pairs, oracle):
-        ch = channels.BinaryChannel(p, q)
-        c = channels.capacity(ch)
+    for (p, q), c_oracle in zip(pairs.tolist(), oracle.tolist()):
+        c = channels._capacity_pq(p, q)
         worst_gap = max(worst_gap, abs(c - c_oracle))
         worst_sym = max(worst_sym,
-                        abs(c - channels.capacity(channels.BinaryChannel(q, p))),
-                        abs(c - channels.capacity(channels.BinaryChannel(1-p, 1-q))))
+                        abs(c - channels._capacity_pq(q, p)),
+                        abs(c - channels._capacity_pq(1-p, 1-q)))
     return worst_gap, worst_sym
 
 

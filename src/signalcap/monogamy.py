@@ -189,6 +189,7 @@ def generate_inequality_set(m: int, swaps=None) -> InequalitySet:
     """
     if m < 2:
         raise ValueError("need m >= 2")
+    m = boxes._settings_count(m)
     if swaps is None:
         swaps = (0,) * (2 * (m - 1))
     swaps = tuple(int(b) for b in swaps)
@@ -200,6 +201,7 @@ def generate_inequality_set(m: int, swaps=None) -> InequalitySet:
 
 
 def all_inequality_sets(m: int) -> list:
+    m = boxes._integer_settings(m)
     return [generate_inequality_set(m, bits)
             for bits in itertools.product((0, 1), repeat=2 * (m - 1))]
 
@@ -223,6 +225,7 @@ def verify_minimal_set(m: int, size=None) -> int:
     signs add up to its Bell coefficient; the state (picks used, <A_i E> of
     row i, <B_j E>) -> count goes past row i only with <A_i E> = 0.
     """
+    m = boxes._integer_settings(m)
     if not 2 <= m <= 4:
         raise ValueError("exhaustive search supported for 2 <= m <= 4")
     size = 2 * m if size is None else int(size)

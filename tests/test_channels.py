@@ -150,6 +150,30 @@ class TestCapacityArrayOnePass:
             assert stacked[s].tobytes() == channels.capacity_array(p[s], q[s]).tobytes()
 
 
+def array_capacity_oracle(p, q, iters=200, tol=1e-8):
+    """The one-channel oracle as it read before it had its own body."""
+    return float(channels.capacity_oracle_array(p, q, iters, tol))
+
+
+def oracle_outcome(f, p, q, iters=200, tol=1e-8):
+    """A one-channel oracle's value, or its NoConvergence's iters and best,
+    with every float as .hex()."""
+    try:
+        value = f(p, q, iters, tol)
+    except channels.NoConvergence as err:
+        return ("NoConvergence", err.iters, type(err.best), err.best.shape,
+                float(err.best).hex(), str(err))
+    return type(value), value.hex()
+
+
+def one_channel_oracle(p, q, iters=200, tol=1e-8):
+    return channels.capacity_oracle(BinaryChannel(p, q), iters, tol)
+
+
+# p or q at 0, 1, the smallest normal and subnormal sizes and an ulp below 1
+ORACLE_EDGES = [0.0, 1.0, 1e-300, 5e-324, 1.0 - 1e-16]
+
+
 class TestCapacityOracle:
     def test_noiseless(self):
         assert channels.capacity_oracle(BinaryChannel(1.0, 0.0)) == pytest.approx(1.0, abs=1e-6)
@@ -208,6 +232,50 @@ class TestCapacityOracle:
         assert batch.shape == (1000,)
         for k in range(1000):
             assert batch[k] == channels.capacity_oracle(BinaryChannel(p[k], q[k])), k
+
+    @pytest.mark.parametrize("p, q", (
+        [(a, b) for a in ORACLE_EDGES for b in ORACLE_EDGES]
+        + [(x, x) for x in (0.3, 0.5, 0.7, 1e-300, 5e-324, 0.1 + 0.2)]))
+    def test_one_channel_body_equals_array_on_edges(self, p, q):
+        assert (oracle_outcome(one_channel_oracle, p, q)
+                == oracle_outcome(array_capacity_oracle, p, q))
+
+    def test_one_channel_body_equals_array_across_gaps(self):
+        rng = np.random.default_rng(29)
+        # 20 gaps in each decade of 10^-12 .. 1, at random positions
+        gaps = 10.0 ** (np.repeat(np.arange(-12, 0), 20) + rng.uniform(0, 1, 240))
+        p = rng.uniform(0, 1, 240) * (1.0 - gaps)
+        pairs = list(zip(p.tolist(), (p + gaps).tolist()))
+        pairs += [(b, a) for a, b in pairs]
+        pairs += rng.uniform(0, 1, (1000, 2)).tolist()
+        for a, b in pairs:
+            assert (oracle_outcome(one_channel_oracle, a, b)
+                    == oracle_outcome(array_capacity_oracle, a, b)), (a, b)
+
+    @pytest.mark.parametrize("iters", [0, 1, 10])
+    def test_one_channel_no_convergence_equals_array(self, iters):
+        # the first channel needs more than 10 steps, the last stops at its
+        # second
+        pairs = [(0.07356, 0.07033), (1.0, 0.0), (0.5, 0.5), (0.3, 0.9), (5e-324, 0.0)]
+        got = [oracle_outcome(one_channel_oracle, p, q, iters, 1e-12) for p, q in pairs]
+        assert got == [oracle_outcome(array_capacity_oracle, p, q, iters, 1e-12)
+                       for p, q in pairs]
+        assert got[0][:2] == ("NoConvergence", iters)
+
+    @pytest.mark.parametrize("p, q, message", [(1.5, 0.3, "p=1.5"), (0.3, np.nan, "q=nan")])
+    def test_one_channel_rejects_what_the_array_rejects(self, p, q, message):
+        # a BinaryChannel checks its own entries; any object with p and q
+        # gets the array path's message
+        class Channel:
+            pass
+
+        ch = Channel()
+        ch.p, ch.q = p, q
+        pattern = re.escape(f"transition probability {message} outside [0, 1]")
+        with pytest.raises(ValueError, match=pattern):
+            channels.capacity_oracle(ch)
+        with pytest.raises(ValueError, match=pattern):
+            channels.capacity_oracle_array(p, q)
 
     @pytest.mark.parametrize("p, q, message", [
         ([0.2, np.nan], 0.3, "p[1]=nan"),

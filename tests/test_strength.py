@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from signalcap import boxes, channels, geometry, strength
+from signalcap import boxes, channels, geometry, monogamy, strength
 from signalcap.strength import (
     c2_analytic,
     c_delta,
@@ -732,6 +733,64 @@ class TestSettingsCount:
     def test_m_below_2_keeps_its_message(self, name, m):
         with pytest.raises(ValueError, match=f"^need m >= 2, got {m}$"):
             self.CALLS[name](m)
+
+
+    # functions outside the layout's callers read m by the same rule, with no
+    # m < 2 check of their own: an integer m keeps its old outcome
+    EXTRA_CALLS = {
+        "verify_minimal_set": monogamy.verify_minimal_set,
+        "all_summed_constraints": monogamy.all_summed_constraints,
+        "generate_inequality_set": monogamy.generate_inequality_set,
+        "chained_bell_terms": boxes.chained_bell_terms,
+        "pr_times_coin": boxes.pr_times_coin,
+        "build_q_delta": lambda m: geometry.build_q_delta(m, 1),
+        "CorrelatorVector": lambda m: boxes.CorrelatorVector(m, np.zeros(10)),
+    }
+
+    @pytest.mark.parametrize("m", [3.0, np.int64(3)])
+    def test_integer_valued_m_elsewhere_reads_the_int_bits(self, m):
+        # a fresh cache, so that chained_bell_terms reads m itself
+        boxes.chained_bell_terms.cache_clear()
+        got = boxes.chained_bell_terms(m)
+        assert got == boxes.chained_bell_terms(3)
+        assert all(type(i) is int and type(j) is int for (i, j), _ in got)
+        assert monogamy.verify_minimal_set(m) == monogamy.verify_minimal_set(3) == 1
+        assert monogamy.verify_minimal_set(m, 5) == 0
+        got, want = monogamy.all_summed_constraints(m), monogamy.all_summed_constraints(3)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got, want = monogamy.generate_inequality_set(m), monogamy.generate_inequality_set(3)
+        assert type(got.m) is int and got.m == 3 and got.members == want.members
+        assert got.summed.tobytes() == want.summed.tobytes()
+        box, ref = boxes.pr_times_coin(m), boxes.pr_times_coin(3)
+        assert type(box.m) is int and box.m == 3
+        assert box.table.tobytes() == ref.table.tobytes()
+        assert geometry.build_q_delta(m, 1) == geometry.build_q_delta(3, 1)
+        vec = boxes.CorrelatorVector(m, np.arange(10) / 10)
+        assert type(vec.m) is int and vec.m == 3
+        assert vec.names == boxes.CorrelatorVector(3, np.arange(10) / 10).names
+
+    @pytest.mark.parametrize("name", list(EXTRA_CALLS))
+    @pytest.mark.parametrize("m", [2.5, np.nan, np.inf])
+    def test_non_integer_m_elsewhere_gets_make_boxs_message(self, name, m):
+        with pytest.raises(ValueError, match="^need an integer number of settings m >= 2, got "):
+            self.EXTRA_CALLS[name](m)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: monogamy.verify_minimal_set(1), "exhaustive search supported for 2 <= m <= 4"),
+        (lambda: monogamy.verify_minimal_set(5), "exhaustive search supported for 2 <= m <= 4"),
+        (lambda: monogamy.all_summed_constraints(1), "need m >= 2"),
+        (lambda: boxes.pr_times_coin(1), "need an integer number of settings m >= 2, got 1"),
+        (lambda: geometry.build_q_delta(1, 1), "need m >= 2, got 1"),
+        (lambda: boxes.CorrelatorVector(1, []), "need m >= 2, got 1"),
+    ])
+    def test_integer_m_elsewhere_keeps_its_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_chained_bell_terms_of_one_setting_unchanged(self):
+        assert boxes.chained_bell_terms(1) == (((0, 0), 1), ((0, 0), -1))
+        assert boxes.chained_bell_terms(1.0) == boxes.chained_bell_terms(1)
+        assert boxes.chained_bell_terms(0) == ()
 
 
 class TestCurve:
